@@ -31,7 +31,9 @@ from gamedecomp.games import (
     Game,
     GameFormatError,
     GameSpace,
+    _format_rational,
     parse_game,
+    parse_rational,
 )
 from gamedecomp.linalg import Matrix, mp_inverse
 from gamedecomp.projectors import (
@@ -68,9 +70,9 @@ def _parse_space(text: str) -> GameSpace:
 
 def _parse_rational(text: str) -> Fraction:
     try:
-        return Fraction(text.replace("−", "-").strip())
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from None
+        return parse_rational(text)
+    except GameFormatError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _decimal_string(x: Fraction, digits: int) -> str:
@@ -83,11 +85,7 @@ def _decimal_string(x: Fraction, digits: int) -> str:
 
 
 def _render(x: Fraction, decimal: int | None) -> object:
-    if decimal is not None:
-        return _decimal_string(x, decimal)
-    if x.denominator == 1:
-        return int(x)
-    return f"{x.numerator}/{x.denominator}"
+    return _format_rational(x) if decimal is None else _decimal_string(x, decimal)
 
 
 def _space_doc(space: GameSpace) -> dict:
@@ -95,11 +93,8 @@ def _space_doc(space: GameSpace) -> dict:
 
 
 def _game_doc(game: Game, decimal: int | None) -> dict:
-    doc: dict = {
-        "players": game.space.n,
-        "strategies": list(game.space.strategy_counts),
-        "payoffs": [[_render(x, decimal) for x in row] for row in game.payoff_rows],
-    }
+    doc = _space_doc(game.space)
+    doc["payoffs"] = [[_render(x, decimal) for x in row] for row in game.payoff_rows]
     if game.name is not None:
         doc["name"] = game.name
     return doc
@@ -173,9 +168,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         "pure-harmonic": analysis.check_pure_harmonic_defn(game),
         "harmonic": analysis.check_harmonic_defn(game),
     }
-    agreement = {
-        name: checks[name] == memberships[name] for name in checks
-    }
+    agreement = {name: checks[name] == memberships[name] for name in checks}
     doc = {
         "command": "classify",
         "space": _space_doc(game.space),
@@ -193,6 +186,9 @@ def _cmd_potential(args: argparse.Namespace) -> int:
     solved = solve_potential_equation(game)
     doc: dict = {"command": "potential", "space": _space_doc(game.space)}
     if projected is None:
+        if args.format == "csv":
+            sys.stdout.write("potential,false\n")
+            return 0
         doc["potential"] = False
         doc["routes_agree"] = solved is None
         if args.experimental_raw_vector:
@@ -200,26 +196,19 @@ def _cmd_potential(args: argparse.Namespace) -> int:
                 _render(x, args.decimal) for x in raw_potential_vector(game)
             ]
             doc["experimental_raw_vector_semantics"] = "unspecified"
-    else:
-        values = projected.values
-        if args.shift is not None:
-            values = projected.shifted(args.shift).values
-        doc["potential"] = True
-        doc["values"] = [_render(x, args.decimal) for x in values]
-        doc["shift"] = _render(args.shift or Fraction(0), None)
-        doc["routes_agree_up_to_constant"] = solved is not None and differs_by_constant(
-            projected.values, solved.values
-        )
-    if args.format == "csv":
-        if projected is None:
-            sys.stdout.write("potential,false\n")
-            return 0
-        lines = ["profile_index,value"]
-        values = projected.shifted(args.shift).values if args.shift else projected.values
-        for idx, value in enumerate(values, start=1):
-            lines.append(f"{idx},{_render(value, args.decimal)}")
-        sys.stdout.write("\n".join(lines) + "\n")
+        _emit_json(doc, args.decimal)
         return 0
+    values = projected.values if args.shift is None else projected.shifted(args.shift).values
+    if args.format == "csv":
+        rendered = (f"{idx},{_render(x, args.decimal)}" for idx, x in enumerate(values, start=1))
+        sys.stdout.write("\n".join(["profile_index,value", *rendered]) + "\n")
+        return 0
+    doc["potential"] = True
+    doc["values"] = [_render(x, args.decimal) for x in values]
+    doc["shift"] = _render(args.shift or Fraction(0), None)
+    doc["routes_agree_up_to_constant"] = solved is not None and differs_by_constant(
+        projected.values, solved.values
+    )
     _emit_json(doc, args.decimal)
     return 0
 
@@ -231,15 +220,10 @@ def _cmd_project(args: argparse.Namespace) -> int:
         print("error: projection sum identity failed", file=sys.stderr)
         return 1
     kind = SubspaceKind(args.kind)
-    matrix = bundle.projection(kind)
+    rows = [[_render(x, args.decimal) for x in row] for row in bundle.projection(kind).rows_iter()]
     if args.format == "csv":
-        lines = []
-        if args.decimal is not None:
-            lines.append(f"# approximate: {args.decimal} decimal digits")
-        for i in range(matrix.nrows):
-            lines.append(
-                ",".join(str(_render(x, args.decimal)) for x in matrix.row_tuple(i))
-            )
+        lines = [] if args.decimal is None else [f"# approximate: {args.decimal} decimal digits"]
+        lines += [",".join(map(str, row)) for row in rows]
         sys.stdout.write("\n".join(lines) + "\n")
         return 0
     doc = {
@@ -248,10 +232,7 @@ def _cmd_project(args: argparse.Namespace) -> int:
         "kind": kind.value,
         "dimension": subspace_dimension(args.space, kind),
         "sum_identity_verified": True,
-        "rows": [
-            [_render(x, args.decimal) for x in matrix.row_tuple(i)]
-            for i in range(matrix.nrows)
-        ],
+        "rows": rows,
     }
     _emit_json(doc, args.decimal)
     return 0
@@ -287,93 +268,61 @@ def _verification_checks(game: Game) -> list[tuple[str, bool]]:
     """Every cross-oracle identity the library can test on one game."""
     space = game.space
     bundle = build_projectors(space)
+    projections = [bundle.projection(kind) for kind in SubspaceKind]
     identity = Matrix.identity(space.payoff_cells)
-    named = {
-        SubspaceKind.PURE_POTENTIAL: bundle.pure_potential,
-        SubspaceKind.NONSTRATEGIC: bundle.nonstrategic,
-        SubspaceKind.PURE_HARMONIC: bundle.pure_harmonic,
-        SubspaceKind.POTENTIAL: bundle.potential,
-        SubspaceKind.HARMONIC: bundle.harmonic,
-    }
-    checks: list[tuple[str, bool]] = []
-    checks.append(
-        ("projections_symmetric", all(m.is_symmetric() for m in named.values()))
-    )
-    checks.append(
-        ("projections_idempotent", all(m @ m == m for m in named.values()))
-    )
     parts = (bundle.pure_potential, bundle.nonstrategic, bundle.pure_harmonic)
-    checks.append(("projection_sum_is_identity", sum(parts[1:], parts[0]) == identity))
-    checks.append(
+    via_bp, via_bn, via_pn = (
+        m @ mp_inverse(m) for m in (build_B_P(space), build_B_N(space), build_P_N(space))
+    )
+    parts_g = decompose(game)
+    part_vectors = [
+        part.structure_vector()
+        for part in (parts_g.pure_potential, parts_g.nonstrategic, parts_g.pure_harmonic)
+    ]
+    projected = potential_function(game)
+    solved = solve_potential_equation(game)
+    return [
+        ("projections_symmetric", all(m.is_symmetric() for m in projections)),
+        ("projections_idempotent", all(m @ m == m for m in projections)),
+        ("projection_sum_is_identity", sum(parts[1:], parts[0]) == identity),
         (
             "projection_pairwise_products_zero",
-            all(
-                (parts[i] @ parts[j]).is_zero()
-                for i in range(3)
-                for j in range(3)
-                if i != j
-            ),
-        )
-    )
-    checks.append(
+            all((a @ b).is_zero() for a in parts for b in parts if a is not b),
+        ),
         (
             "projection_traces_match_dimensions",
             all(
-                named[kind].trace() == subspace_dimension(space, kind)
-                for kind in SubspaceKind
+                m.trace() == subspace_dimension(space, kind)
+                for m, kind in zip(projections, SubspaceKind)
             ),
-        )
-    )
-    b_p = build_B_P(space)
-    b_n = build_B_N(space)
-    p_n = build_P_N(space)
-    via_bp = b_p @ mp_inverse(b_p)
-    via_bn = b_n @ mp_inverse(b_n)
-    via_pn = p_n @ mp_inverse(p_n)
-    checks.append(
+        ),
         (
             "pseudoinverse_oracles_match",
             via_bp == bundle.potential
             and via_bn == bundle.nonstrategic
             and via_pn == bundle.pure_potential
             and via_bp == via_bn + via_pn,
-        )
-    )
-    parts_g = decompose(game)
-    checks.append(("decomposition_sums_to_input", parts_g.total() == game))
-    checks.append(
+        ),
+        ("decomposition_sums_to_input", parts_g.total() == game),
+        # the dense projections cross-check the matrix-free parts
         (
             "components_lie_in_their_subspaces",
-            is_member(parts_g.pure_potential, SubspaceKind.PURE_POTENTIAL)
-            and is_member(parts_g.nonstrategic, SubspaceKind.NONSTRATEGIC)
-            and is_member(parts_g.pure_harmonic, SubspaceKind.PURE_HARMONIC),
-        )
-    )
-    checks.append(
+            all(bundle.projection(kind) @ v == v for kind, v in zip(SubspaceKind, part_vectors)),
+        ),
         (
             "definitional_checks_agree",
-            analysis.check_nonstrategic_defn(game)
-            == is_member(game, SubspaceKind.NONSTRATEGIC)
+            analysis.check_nonstrategic_defn(game) == is_member(game, SubspaceKind.NONSTRATEGIC)
             and analysis.check_pure_harmonic_defn(game)
             == is_member(game, SubspaceKind.PURE_HARMONIC)
-            and analysis.check_harmonic_defn(game)
-            == is_member(game, SubspaceKind.HARMONIC),
-        )
-    )
-    projected = potential_function(game)
-    solved = solve_potential_equation(game)
-    if projected is None or solved is None:
-        agree = projected is None and solved is None
-    else:
-        agree = differs_by_constant(projected.values, solved.values)
-    checks.append(("potential_routes_agree", agree))
-    checks.append(
+            and analysis.check_harmonic_defn(game) == is_member(game, SubspaceKind.HARMONIC),
+        ),
         (
-            "nonstrategic_direct_agrees",
-            nonstrategic_component_direct(game) == parts_g.nonstrategic,
-        )
-    )
-    return checks
+            "potential_routes_agree",
+            (projected is None) == (solved is None)
+            and (projected is None or differs_by_constant(projected.values, solved.values)),
+        ),
+        ("nonstrategic_direct_agrees", nonstrategic_component_direct(game) == parts_g.nonstrategic),
+    ]
 
 
 # -- parser --------------------------------------------------------------
@@ -450,15 +399,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "project" and args.space is None:
         parser.error("project requires --space")
+    if args.decimal is not None and args.decimal < 0:
+        parser.error(f"--decimal needs a digit count >= 0, got {args.decimal}")
     bad_format = _check_format(args)
     if bad_format is not None:
         return bad_format
     try:
         return args.func(args)
-    except (GameFormatError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,11 +1,14 @@
 """Splitting games into components and extracting potential functions.
 
-decompose() applies the cached projections to a game's stacked payoff
-column and returns the three component games, whose sum reproduces the
-input exactly.  Potential functions are extracted two independent ways:
-a closed-form product of structural matrices, and a direct solve of the
-block linear system whose consistency characterizes potentiality.  The
-two results agree up to an additive constant whenever both exist.
+Everything here works on payoff rows in the algebra of the averaging
+operators M_i (see projectors.py); no projection matrix is built or
+applied.  With u_i player i's payoff row: nonstrategic_i = M_i u_i, the
+canonical potential phi = X sum_i (u_i - M_i u_i), pure_potential_i =
+phi - M_i phi, and pure_harmonic = u - pure_potential - nonstrategic.
+Potential functions are extracted two independent ways: phi with its
+offsets (the means of u_i - phi along player i's axis), and a direct
+solve of the block linear system whose consistency characterizes
+potentiality.  The two agree up to an additive constant.
 """
 
 from __future__ import annotations
@@ -14,9 +17,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from gamedecomp.games import Game, GameSpace
+from gamedecomp.games import Game
 from gamedecomp.linalg import Matrix, hstack, solve_linear, vstack
-from gamedecomp.projectors import SubspaceKind, build_E, build_P_N, build_projectors
+from gamedecomp.projectors import (
+    SubspaceKind,
+    apply_element,
+    average,
+    axis_means,
+    build_E,
+    closed_form_coefficients,
+)
 
 
 @dataclass(frozen=True)
@@ -29,6 +39,14 @@ class Decomposition:
 
     def total(self) -> Game:
         return self.pure_potential + self.nonstrategic + self.pure_harmonic
+
+    def projection(self, kind: SubspaceKind) -> Game:
+        """The game's projection onto a canonical subspace."""
+        if kind is SubspaceKind.POTENTIAL:
+            return self.pure_potential + self.nonstrategic
+        if kind is SubspaceKind.HARMONIC:
+            return self.nonstrategic + self.pure_harmonic
+        return getattr(self, kind.name.lower())
 
 
 @dataclass(frozen=True)
@@ -46,17 +64,10 @@ class PotentialFunction:
 
     def shifted(self, constant: Fraction | int) -> "PotentialFunction":
         c = Fraction(constant)
-        return PotentialFunction(
-            tuple(v + c for v in self.values), self.player_offsets
-        )
-
-    def value_at(self, space: GameSpace, profile: Sequence[int]) -> Fraction:
-        return self.values[space.profile_index(profile) - 1]
+        return PotentialFunction(tuple(v + c for v in self.values), self.player_offsets)
 
 
-def differs_by_constant(
-    a: Sequence[Fraction], b: Sequence[Fraction]
-) -> bool:
+def differs_by_constant(a: Sequence[Fraction], b: Sequence[Fraction]) -> bool:
     """Whether two value vectors differ by one shared constant."""
     if len(a) != len(b) or not a:
         return False
@@ -64,56 +75,67 @@ def differs_by_constant(
     return all(x - y == delta for x, y in zip(a, b))
 
 
+def _nonstrategic_rows(game: Game) -> list[list[Fraction]]:
+    """M_i u_i for every player i."""
+    return [average(game.space, row, i) for i, row in enumerate(game.payoff_rows, start=1)]
+
+
+def _potential_vector(game: Game, nonstrategic: list[list[Fraction]]) -> list[Fraction]:
+    """phi = X sum_i (u_i - M_i u_i), given the M_i u_i."""
+    lifted = [sum(u) - sum(m) for u, m in zip(zip(*game.payoff_rows), zip(*nonstrategic))]
+    return apply_element(game.space, closed_form_coefficients(game.space.n), lifted)
+
+
 def decompose(game: Game) -> Decomposition:
     """Split a game into pure potential, nonstrategic, and pure harmonic parts."""
-    bundle = build_projectors(game.space)
-    u = game.structure_vector()
+    space = game.space
+    nonstrategic = _nonstrategic_rows(game)
+    phi = _potential_vector(game, nonstrategic)
+    pure_potential = [
+        [p - m for p, m in zip(phi, average(space, phi, i))] for i in range(1, space.n + 1)
+    ]
+    pure_harmonic = [
+        [u - p - s for u, p, s in zip(*rows)]
+        for rows in zip(game.payoff_rows, pure_potential, nonstrategic)
+    ]
     return Decomposition(
-        pure_potential=Game.from_vector(game.space, bundle.pure_potential @ u),
-        nonstrategic=Game.from_vector(game.space, bundle.nonstrategic @ u),
-        pure_harmonic=Game.from_vector(game.space, bundle.pure_harmonic @ u),
+        pure_potential=Game(space, pure_potential),
+        nonstrategic=Game(space, nonstrategic),
+        pure_harmonic=Game(space, pure_harmonic),
     )
 
 
 def is_member(game: Game, kind: SubspaceKind) -> bool:
-    """Whether the game lies in a canonical subspace: P @ u == u exactly."""
-    bundle = build_projectors(game.space)
-    u = game.structure_vector()
-    return (bundle.projection(kind) @ u) == u
+    """Whether the game lies in a canonical subspace: its projection is itself."""
+    return decompose(game).projection(kind) == game
 
 
 def raw_potential_vector(game: Game) -> tuple[Fraction, ...]:
-    """First block of the closed-form potential expression, for any game.
+    """The closed-form potential X sum_i (u_i - M_i u_i), for any game.
 
     For potential games this is the canonical potential's value vector.
     For anything else its meaning is an open question; it is exposed for
     experimentation only.
     """
-    bundle = build_projectors(game.space)
-    u = game.structure_vector()
-    phi = bundle.group_inverse @ (build_P_N(game.space).T @ u)
-    return phi.column_tuple(0)
+    return tuple(_potential_vector(game, _nonstrategic_rows(game)))
 
 
 def potential_function(game: Game) -> PotentialFunction | None:
     """Canonical potential of a potential game, else None.
 
-    The value vector is the first block of the closed-form expression
-    (the group inverse applied to the pure-potential lift of the payoff
-    column, no constant added); the per-player offsets are the
-    remaining blocks.
+    The values are the closed-form potential phi (no constant added);
+    player i's offsets are the means of u_i - phi along i's own axis,
+    one per profile of the other players.
     """
     if not is_member(game, SubspaceKind.POTENTIAL):
         return None
     space = game.space
     values = raw_potential_vector(game)
-    phi = Matrix.column(values)
-    offsets = []
-    for i, count in enumerate(space.strategy_counts, start=1):
-        u_i = Matrix.column(game.payoff_rows[i - 1])
-        block = build_E(space, i).T @ (u_i - phi) * Fraction(1, count)
-        offsets.append(block.column_tuple(0))
-    return PotentialFunction(values=tuple(values), player_offsets=tuple(offsets))
+    offsets = tuple(
+        tuple(axis_means(space, [u - p for u, p in zip(row, values)], i))
+        for i, row in enumerate(game.payoff_rows, start=1)
+    )
+    return PotentialFunction(values=values, player_offsets=offsets)
 
 
 def solve_potential_equation(game: Game) -> PotentialFunction | None:

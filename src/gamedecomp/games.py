@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
@@ -23,6 +24,9 @@ from typing import Iterator, Sequence
 from gamedecomp.linalg import Matrix
 
 DEFAULT_CELL_CAP = 4096
+MAX_DECIMAL_EXPONENT = 4300
+_ZERO = Fraction(0)
+_EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)$")
 
 
 class GameFormatError(ValueError):
@@ -42,31 +46,43 @@ class SpaceCapError(GameFormatError):
 
 
 def as_rational(value: object) -> Fraction:
-    """Normalize a payoff entry to an exact rational.
+    """Normalize a payoff entry to an exact rational; zeros share one object.
 
-    Accepts integers, "p/q" strings, and decimal strings with a finite
-    expansion.  A Unicode minus sign is treated as ASCII "-".  Floats
+    Accepts integers and the strings parse_rational accepts.  Floats
     and booleans are refused: binary floats are not the number the user
     wrote, and exactness is the whole contract.
     """
     if isinstance(value, Fraction):
-        return value
+        return value or _ZERO
     if isinstance(value, bool):
         raise GameFormatError("payoff entries must be numbers, not booleans")
     if isinstance(value, int):
-        return Fraction(value)
+        return Fraction(value) if value else _ZERO
     if isinstance(value, float):
         raise GameFormatError(
             f"non-integer numeric payoff {value!r}: quote it as a string "
             '(e.g. "3/4" or "0.75") to keep arithmetic exact'
         )
     if isinstance(value, str):
-        text = value.replace("−", "-").strip()
-        try:
-            return Fraction(text)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise GameFormatError(f"cannot parse payoff string {value!r}: {exc}") from None
+        return parse_rational(value)
     raise GameFormatError(f"unsupported payoff type {type(value).__name__}")
+
+
+def parse_rational(text: str) -> Fraction:
+    """Parse a "p/q", integer or decimal string such as "1.5e-3" exactly.
+
+    A Unicode minus sign is treated as ASCII "-".  Decimal exponents
+    beyond MAX_DECIMAL_EXPONENT in magnitude are refused, matching the
+    4300-digit limit CPython puts on integer strings.
+    """
+    cleaned = text.replace("−", "-").strip()
+    exponent = _EXPONENT.search(cleaned)
+    try:
+        if exponent is None or abs(int(exponent.group(1))) <= MAX_DECIMAL_EXPONENT:
+            return Fraction(cleaned)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise GameFormatError(f"cannot parse rational string {text!r}: {exc}") from None
+    raise GameFormatError(f"decimal exponent of {text!r} exceeds {MAX_DECIMAL_EXPONENT}")
 
 
 @dataclass(frozen=True)

@@ -51,15 +51,6 @@ class Matrix:
     # -- construction -------------------------------------------------
 
     @classmethod
-    def from_flat(cls, nrows: int, ncols: int, entries: Sequence[object]) -> "Matrix":
-        """Build an nrows x ncols matrix from a flat row-major entry list."""
-        if len(entries) != nrows * ncols:
-            raise ValueError(
-                f"expected {nrows * ncols} entries for a {nrows}x{ncols} matrix, got {len(entries)}"
-            )
-        return cls(entries[i * ncols : (i + 1) * ncols] for i in range(nrows))
-
-    @classmethod
     def identity(cls, n: int) -> "Matrix":
         return cls([[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
 
@@ -118,14 +109,8 @@ class Matrix:
     def to_lists(self) -> list[list[Fraction]]:
         return [list(row) for row in self._rows]
 
-    def flat(self) -> tuple[Fraction, ...]:
-        return tuple(x for row in self._rows for x in row)
-
     def take_columns(self, indices: Sequence[int]) -> "Matrix":
         return Matrix([[row[j] for j in indices] for row in self._rows])
-
-    def take_rows(self, indices: Sequence[int]) -> "Matrix":
-        return Matrix([self._rows[i] for i in indices])
 
     # -- algebra -------------------------------------------------------
 

@@ -1,21 +1,19 @@
-"""Closed-form orthogonal projections onto the canonical game subspaces.
+"""The averaging-operator algebra behind the canonical game subspaces.
 
 The payoff space of a signature [n; k_1..k_n] splits orthogonally into
-pure potential, nonstrategic, and pure harmonic parts.  The projections
-onto all five canonical subspaces (those three plus their two natural
-sums, the potential and harmonic subspaces) have closed-form rational
-entries built from a handful of structural matrices:
+pure potential, nonstrategic and pure harmonic parts.  The operators of
+the split lie in the commutative algebra of the averaging operators
+M_i = e_i/k_i, where M_S = prod_{i in S} M_i gives M_S @ M_T = M_{S|T}.
+An Element {frozenset S: c_S} stands for sum_S c_S M_S; the group
+inverse X of sum_i (I - M_i) and each k x k projection block are one.
 
-  E_i   averaging lift for player i          (k x k/k_i)
-  e_i   = E_i @ E_i.T, the within-player-i averaging block (k x k)
-  B_N   block diagonal of the E_i            (nk x sum k/k_i)
-  B_P   [stacked I_k | block diag E_i]       (nk x (k + sum k/k_i))
-  P_N   stacked I_k - e_i/k_i blocks         (nk x k)
-
-plus the group inverse X of sum_i (I_k - e_i/k_i), which this module
-computes two independent ways: a closed-form weighted sum over subsets
-of players, and a literal solve of the defining equation in the
-commutative algebra generated by the e_i.
+apply_element() applies an Element to one payoff row by chaining
+along-axis means, with no matrix; decompose.py uses only that.
+_densify_blocks() writes the dense matrix, whose entry (p, q) is the sum
+of c_S / k_S over the S containing the players on which p and q differ,
+so each block holds at most 2^n shared values.  The dense ProjectorSet
+serves `project` and the oracles; so do the structural matrices E_i, e_i,
+B_N, B_P and P_N, and a second route to X that solves its definition.
 """
 
 from __future__ import annotations
@@ -26,10 +24,12 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from gamedecomp.games import GameSpace
 from gamedecomp.linalg import Matrix, block_diag, hstack, kron, solve_linear, vstack
+
+Element = dict[frozenset[int], Fraction]
 
 
 class SubspaceKind(Enum):
@@ -57,7 +57,6 @@ def build_E(space: GameSpace, player: int) -> Matrix:
 
 def build_e(space: GameSpace, player: int) -> Matrix:
     """Averaging block e_i = E_i @ E_i.T (k x k, symmetric, e_i^2 = k_i e_i)."""
-    _check_player(space, player)
     return build_e_set(space, (player,))
 
 
@@ -91,116 +90,144 @@ def build_B_P(space: GameSpace) -> Matrix:
 
 def build_P_N(space: GameSpace) -> Matrix:
     """Stacked normalization blocks I_k - e_i/k_i; spans the pure potential part."""
-    blocks = []
     identity = Matrix.identity(space.k)
-    for i, count in enumerate(space.strategy_counts, start=1):
-        blocks.append(identity - build_e(space, i) * Fraction(1, count))
-    return vstack(blocks)
+    counts = enumerate(space.strategy_counts, start=1)
+    return vstack([identity - build_e(space, i) * Fraction(1, c) for i, c in counts])
 
 
-# -- the group inverse X of sum_i (I - e_i/k_i) -------------------------
+# -- elements of the algebra -----------------------------------------------
 
 
-def closed_form_coefficients(n: int) -> dict[frozenset[int], Fraction]:
-    """Subset weights of the closed-form group inverse.
+def axis_means(space: GameSpace, row: Sequence[Fraction], player: int) -> list[Fraction]:
+    """Means of a payoff row along player's axis, one per profile of the others."""
+    count = space.strategy_counts[player - 1]
+    after = space.k_between(player + 1, space.n)
+    block = count * after
+    return [
+        sum(row[start + b : start + block : after]) / count
+        for start in range(0, len(row), block)
+        for b in range(after)
+    ]
 
-    The group inverse of sum_i (I - e_i/k_i) equals
+
+def average(space: GameSpace, row: Sequence[Fraction], player: int) -> list[Fraction]:
+    """M_i @ row: each payoff replaced by its mean along player i's axis."""
+    after = space.k_between(player + 1, space.n)
+    block = space.strategy_counts[player - 1] * after
+    means = axis_means(space, row, player)
+    return [means[p // block * after + p % after] for p in range(len(row))]
+
+
+def apply_element(space: GameSpace, element: Element, row: Sequence[Fraction]) -> list[Fraction]:
+    """sum_S c_S M_S @ row, each M_S @ row a chain of along-axis means."""
+    averaged: dict[frozenset[int], Sequence[Fraction]] = {frozenset(): row}
+
+    def chain(subset: frozenset[int]) -> Sequence[Fraction]:
+        if subset not in averaged:
+            last = max(subset)
+            averaged[subset] = average(space, chain(subset - {last}), last)
+        return averaged[subset]
+
+    out = [Fraction(0)] * space.k
+    for subset, weight in element.items():
+        out = [acc + weight * x for acc, x in zip(out, chain(subset))]
+    return out
+
+
+def closed_form_coefficients(n: int) -> Element:
+    """The group inverse X of sum_i (I - M_i), as an element of the algebra.
+
+    X equals
 
         sum over proper subsets S of {1..n} of
-            1 / ((n - |S|) * C(n, |S|)) * prod_{i in S} e_i/k_i
-      - (1 + 1/2 + ... + 1/n) * prod over all i of e_i/k_i
+            1 / ((n - |S|) * C(n, |S|)) * M_S
+      - (1 + 1/2 + ... + 1/n) * M_{1..n}
 
-    and this returns the weight attached to each subset's normalized
-    product (the empty subset weighs the identity).
+    whatever the strategy counts; this returns the weight attached to
+    each subset (the empty subset weighs the identity).
     """
     if n < 1:
         raise ValueError("need at least one player")
-    coeffs: dict[frozenset[int], Fraction] = {}
-    for size in range(n):
-        weight = Fraction(1, (n - size) * math.comb(n, size))
-        for subset in combinations(range(1, n + 1), size):
-            coeffs[frozenset(subset)] = weight
-    harmonic_number = sum((Fraction(1, i) for i in range(1, n + 1)), Fraction(0))
-    coeffs[frozenset(range(1, n + 1))] = -harmonic_number
+    coeffs: Element = {
+        s: Fraction(1, (n - len(s)) * math.comb(n, len(s))) for s in _ordered_subsets(n)[:-1]
+    }
+    coeffs[frozenset(range(1, n + 1))] = -sum(Fraction(1, i) for i in range(1, n + 1))
     return coeffs
+
+
+def _combine(terms: Iterable[tuple[Fraction, Element]]) -> Element:
+    """sum of scale * element over the terms, zero weights dropped."""
+    out: Element = {}
+    for scale, element in terms:
+        for key, value in element.items():
+            out[key] = out.get(key, Fraction(0)) + scale * value
+    return {key: value for key, value in out.items() if value != 0}
+
+
+def _multiply(left: Element, right: Element) -> Element:
+    """Product of two elements: M_S @ M_T = M_{S|T}."""
+    return _combine((a * b, {s | t: 1}) for s, a in left.items() for t, b in right.items())
+
+
+def _ordered_subsets(n: int) -> list[frozenset[int]]:
+    return [frozenset(c) for size in range(n + 1) for c in combinations(range(1, n + 1), size)]
+
+
+def _entry_values(space: GameSpace, element: Element) -> list[Fraction]:
+    """Entries of sum_S c_S M_S, by the bit mask of players on which two profiles differ."""
+    weighted = [
+        (sum(1 << (i - 1) for i in s), c / math.prod(space.strategy_counts[i - 1] for i in s))
+        for s, c in element.items()
+    ]
+    return [sum((w for m, w in weighted if m & d == d), Fraction(0)) for d in range(1 << space.n)]
+
+
+def _densify_blocks(space: GameSpace, blocks: Sequence[Sequence[Element]]) -> Matrix:
+    """The block matrix whose (i, j) block is the dense k x k form of blocks[i][j].
+
+    masks[p][q] has bit i-1 set iff profiles p and q differ on player i;
+    the entries of a block that share a mask share one value object.
+    """
+    masks = [[0]]
+    for i, count in enumerate(space.strategy_counts):
+        axis = range(count)
+        masks = [[m | (x != y) << i for m in row for y in axis] for row in masks for x in axis]
+    tables = [[_entry_values(space, element) for element in row] for row in blocks]
+    return Matrix(
+        [values[m] for values in table_row for m in mask_row]
+        for table_row in tables
+        for mask_row in masks
+    )
+
+
+def _densify(space: GameSpace, element: Element) -> Matrix:
+    """The k x k matrix of sum_S c_S M_S."""
+    return _densify_blocks(space, [[element]])
 
 
 def group_inverse_closed_form(space: GameSpace) -> Matrix:
     """The k x k group inverse X via the closed-form subset sum."""
-    element = {
-        subset: weight * _normalizer(space, subset)
-        for subset, weight in closed_form_coefficients(space.n).items()
-    }
-    return _expand_e_element(space, element)
+    return _densify(space, closed_form_coefficients(space.n))
 
 
 def group_inverse_solve_route(space: GameSpace) -> Matrix:
-    """The same X, found by solving A @ A @ X = A inside the e-algebra.
+    """The same X, found by solving A @ A @ X = A inside the algebra.
 
-    A = sum_i (I - e_i/k_i) lives in the commutative algebra spanned by
-    the subset products e_S, which is closed under multiplication
-    (e_S @ e_T = prod_{i in S&T} k_i * e_{S|T}).  The defining equation
-    becomes a 2^n x 2^n rational solve; the group inverse is then
-    A @ X @ X.  Raises RuntimeError if the solve fails, which no
-    well-formed space produces.
+    A = n I - sum_i M_i lives in the algebra spanned by the M_S, so the
+    defining equation becomes a 2^n x 2^n rational solve; the group
+    inverse is then A @ X @ X.  Raises RuntimeError if the solve fails,
+    which no well-formed space produces.
     """
-    n = space.n
-    subsets = _ordered_subsets(n)
-    a_elem: dict[frozenset[int], Fraction] = {frozenset(): Fraction(n)}
-    for i, count in enumerate(space.strategy_counts, start=1):
-        a_elem[frozenset((i,))] = Fraction(-1, count)
-    a_squared = _e_multiply(space, a_elem, a_elem)
-
-    columns = []
-    for subset in subsets:
-        image = _e_multiply(space, a_squared, {subset: Fraction(1)})
-        columns.append([image.get(s, Fraction(0)) for s in subsets])
-    coefficient_matrix = Matrix(zip(*columns))
-    rhs = Matrix.column([a_elem.get(s, Fraction(0)) for s in subsets])
-    solved = solve_linear(coefficient_matrix, rhs)
+    subsets = _ordered_subsets(space.n)
+    a_elem = {s: Fraction(space.n if not s else -1) for s in subsets[: space.n + 1]}
+    a_squared = _multiply(a_elem, a_elem)
+    images = [_multiply(a_squared, {s: Fraction(1)}) for s in subsets]
+    coefficient_matrix = Matrix([[image.get(s, 0) for image in images] for s in subsets])
+    solved = solve_linear(coefficient_matrix, Matrix.column([a_elem.get(s, 0) for s in subsets]))
     if solved is None:
-        raise RuntimeError("group-inverse equation is inconsistent in the e-algebra")
-    x_elem = {
-        subsets[idx]: solved[idx, 0] for idx in range(len(subsets)) if solved[idx, 0] != 0
-    }
-    sharp = _e_multiply(space, a_elem, _e_multiply(space, x_elem, x_elem))
-    return _expand_e_element(space, sharp)
-
-
-def _ordered_subsets(n: int) -> list[frozenset[int]]:
-    out = []
-    for size in range(n + 1):
-        for subset in combinations(range(1, n + 1), size):
-            out.append(frozenset(subset))
-    return out
-
-
-def _normalizer(space: GameSpace, subset: frozenset[int]) -> Fraction:
-    return Fraction(1, math.prod(space.strategy_counts[i - 1] for i in subset))
-
-
-def _e_multiply(
-    space: GameSpace,
-    left: dict[frozenset[int], Fraction],
-    right: dict[frozenset[int], Fraction],
-) -> dict[frozenset[int], Fraction]:
-    """Multiply two elements written in the e-subset basis."""
-    out: dict[frozenset[int], Fraction] = {}
-    for s, a in left.items():
-        for t, b in right.items():
-            scale = math.prod(space.strategy_counts[i - 1] for i in s & t)
-            key = s | t
-            value = out.get(key, Fraction(0)) + a * b * scale
-            out[key] = value
-    return {key: value for key, value in out.items() if value != 0}
-
-
-def _expand_e_element(space: GameSpace, element: dict[frozenset[int], Fraction]) -> Matrix:
-    out = Matrix.zeros(space.k, space.k)
-    for subset, weight in element.items():
-        if weight != 0:
-            out = out + build_e_set(space, subset) * weight
-    return out
+        raise RuntimeError("group-inverse equation is inconsistent in the algebra")
+    x_elem = dict(zip(subsets, solved.column_tuple(0)))
+    return _densify(space, _multiply(a_elem, _multiply(x_elem, x_elem)))
 
 
 # -- the projector bundle ------------------------------------------------
@@ -219,13 +246,7 @@ class ProjectorSet:
     harmonic: Matrix
 
     def projection(self, kind: SubspaceKind) -> Matrix:
-        return {
-            SubspaceKind.PURE_POTENTIAL: self.pure_potential,
-            SubspaceKind.NONSTRATEGIC: self.nonstrategic,
-            SubspaceKind.PURE_HARMONIC: self.pure_harmonic,
-            SubspaceKind.POTENTIAL: self.potential,
-            SubspaceKind.HARMONIC: self.harmonic,
-        }[kind]
+        return getattr(self, kind.name.lower())
 
 
 def subspace_dimension(space: GameSpace, kind: SubspaceKind) -> int:
@@ -262,25 +283,33 @@ def build_projectors(space: GameSpace) -> ProjectorSet:
 
 
 def _build_projector_set(space: GameSpace) -> ProjectorSet:
-    x = group_inverse_closed_form(space)
-    p_n = build_P_N(space)
-    pure_potential = p_n @ x @ p_n.T
-    nonstrategic = block_diag(
-        [
-            build_e(space, i) * Fraction(1, count)
-            for i, count in enumerate(space.strategy_counts, start=1)
-        ]
-    )
-    identity = Matrix.identity(space.payoff_cells)
-    pure_harmonic = identity - pure_potential - nonstrategic
+    """Densify one element per (i, j) block of each projection.
+
+    Block (i, j) is delta_ij (a I + b M_i) + sign (I - M_i) X (I - M_j):
+    the pure potential projection P_N X P_N.T has a = b = 0, sign = 1,
+    and the nonstrategic one diag(M_i) has b = 1, sign = 0.
+    """
+    players = range(1, space.n + 1)
+    x = closed_form_coefficients(space.n)
+    residual = {i: {frozenset(): Fraction(1), frozenset((i,)): Fraction(-1)} for i in players}
+    pairs = [(i, j) for i in players for j in players]
+    pp = {(i, j): _multiply(_multiply(residual[i], x), residual[j]) for i, j in pairs}
+
+    def projection(a: int, b: int, sign: int) -> Matrix:
+        def block(i: int, j: int) -> Element:
+            diagonal = {frozenset(): Fraction(a), frozenset((i,)): Fraction(b)} if i == j else {}
+            return _combine([(Fraction(1), diagonal), (sign, pp[i, j])])
+
+        return _densify_blocks(space, [[block(i, j) for j in players] for i in players])
+
     return ProjectorSet(
         space=space,
-        group_inverse=x,
-        pure_potential=pure_potential,
-        nonstrategic=nonstrategic,
-        pure_harmonic=pure_harmonic,
-        potential=pure_potential + nonstrategic,
-        harmonic=identity - pure_potential,
+        group_inverse=_densify(space, x),
+        pure_potential=projection(0, 0, 1),
+        nonstrategic=projection(0, 1, 0),
+        pure_harmonic=projection(1, -1, -1),
+        potential=projection(0, 1, 1),
+        harmonic=projection(1, 0, -1),
     )
 
 

@@ -150,6 +150,39 @@ def test_project_csv_and_decimal(tmp_path, capsys):
     assert lines[1].split(",")[0] == "0.500"
 
 
+def test_negative_decimal_rejected(tmp_path, capsys):
+    path = write_game(tmp_path, rps_game())
+    with pytest.raises(SystemExit) as excinfo:
+        main(["decompose", path, "--decimal", "-2"])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "digit count" in captured.err
+    code, out, _ = run_cli(capsys, "decompose", path, "--decimal", "0")
+    assert code == 0
+    assert json.loads(out)["decimal_digits"] == 0
+
+
+def test_huge_exponent_rejected_in_payoffs_and_shift(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(
+        '{"players": 1, "strategies": [2], "payoffs": [["1e5000", 0]]}',
+        encoding="utf-8",
+    )
+    code, out, err = run_cli(capsys, "potential", str(path))
+    assert code == 1
+    assert out == ""
+    assert "exponent" in err
+    game_path = write_game(tmp_path, symmetric_222(1, 1, 2, -1, 1, -1))
+    with pytest.raises(SystemExit) as excinfo:
+        main(["potential", game_path, "--shift=1.5e-100000"])
+    assert excinfo.value.code == 2
+    assert "exponent" in capsys.readouterr().err
+    code, out, _ = run_cli(capsys, "potential", game_path, "--shift=-1.125e0")
+    assert code == 0
+    assert json.loads(out)["shift"] == "-9/8"
+
+
 def test_project_requires_space(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["project", "--kind", "potential"])

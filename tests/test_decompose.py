@@ -1,10 +1,16 @@
 """Decomposition, membership, and the two potential-extraction routes."""
 
+import math
 import random
 from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import gamedecomp.projectors as projectors
 from _helpers import random_game, rps_game, symmetric_222, symmetric_33
 from gamedecomp.analysis import check_potential_defn
 from gamedecomp.decompose import (
@@ -17,11 +23,14 @@ from gamedecomp.decompose import (
     solve_potential_equation,
 )
 from gamedecomp.games import Game, GameSpace
-from gamedecomp.linalg import Matrix, mp_inverse
+from gamedecomp.linalg import Matrix, block_diag, group_inverse_via_solve, mp_inverse
 from gamedecomp.projectors import (
     SubspaceKind,
     build_B_N,
     build_B_P,
+    build_E,
+    build_e,
+    build_e_set,
     build_P_N,
     build_projectors,
 )
@@ -294,3 +303,141 @@ def test_check_potential_defn_length_guard():
             rps_game(),
             potential_function(Game.zero(GameSpace((2, 2)))),
         )
+
+
+# -- the matrix-free route against the dense oracles, on random spaces ----
+
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
+
+
+@st.composite
+def spaces(draw, max_cells=200):
+    """n <= 4 players with 1 to 4 strategies each, at most max_cells cells."""
+    n = draw(st.integers(1, 4))
+    counts: list[int] = []
+    for _ in range(n):
+        room = max_cells // n // math.prod(counts)
+        counts.append(draw(st.integers(1, min(4, room))))
+    return GameSpace(tuple(counts))
+
+
+@st.composite
+def games(draw, max_cells=200):
+    space = draw(spaces(max_cells))
+    cells = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+    payoffs = draw(
+        st.lists(cells, min_size=space.payoff_cells, max_size=space.payoff_cells)
+    )
+    return Game.from_vector(space, payoffs)
+
+
+@lru_cache(maxsize=None)
+def oracle_group_inverse(counts: tuple[int, ...]) -> Matrix:
+    """X by the dense defining-equation solve on sum_i (I - e_i/k_i)."""
+    space = GameSpace(counts)
+    residual = Matrix.zeros(space.k, space.k)
+    for i, count in enumerate(counts, start=1):
+        residual = residual + Matrix.identity(space.k) - build_e(space, i) * Fraction(1, count)
+    return group_inverse_via_solve(residual)
+
+
+@PROPERTY
+@given(games())
+def test_decompose_equals_dense_projections(game):
+    bundle = build_projectors(game.space)
+    u = game.structure_vector()
+    parts = decompose(game)
+    assert parts.pure_potential.structure_vector() == bundle.pure_potential @ u
+    assert parts.nonstrategic.structure_vector() == bundle.nonstrategic @ u
+    assert parts.pure_harmonic.structure_vector() == bundle.pure_harmonic @ u
+
+
+@PROPERTY
+@given(games(max_cells=100))
+def test_is_member_equals_dense_fixed_point(game):
+    # the game itself is rarely a member; its projections always are
+    bundle = build_projectors(game.space)
+    u = game.structure_vector()
+    candidates = [game] + [
+        Game.from_vector(game.space, bundle.projection(kind) @ u) for kind in SubspaceKind
+    ]
+    for candidate in candidates:
+        v = candidate.structure_vector()
+        for kind in SubspaceKind:
+            assert is_member(candidate, kind) == (bundle.projection(kind) @ v == v)
+
+
+@PROPERTY
+@given(games(max_cells=100))
+def test_raw_potential_vector_equals_dense_route(game):
+    x = oracle_group_inverse(game.space.strategy_counts)
+    expected = x @ build_P_N(game.space).T @ game.structure_vector()
+    assert raw_potential_vector(game) == expected.column_tuple(0)
+
+
+@PROPERTY
+@given(games(max_cells=100))
+def test_potential_offsets_equal_lift_route(game):
+    space = game.space
+    potential = Game.from_vector(
+        space, build_projectors(space).potential @ game.structure_vector()
+    )
+    result = potential_function(potential)
+    assert result is not None
+    assert result.values == raw_potential_vector(potential)
+    phi = Matrix.column(result.values)
+    for i, count in enumerate(space.strategy_counts, start=1):
+        u_i = Matrix.column(potential.payoff_rows[i - 1])
+        block = build_E(space, i).T @ (u_i - phi) * Fraction(1, count)
+        assert result.player_offsets[i - 1] == block.column_tuple(0)
+
+
+@PROPERTY
+@given(spaces(max_cells=100))
+def test_densified_bundle_equals_matrix_products(space):
+    bundle = projectors._build_projector_set(space)
+    x = oracle_group_inverse(space.strategy_counts)
+    p_n = build_P_N(space)
+    pure_potential = p_n @ x @ p_n.T
+    nonstrategic = block_diag(
+        [build_e(space, i) * Fraction(1, c) for i, c in enumerate(space.strategy_counts, 1)]
+    )
+    identity = Matrix.identity(space.payoff_cells)
+    assert bundle.group_inverse == x
+    assert bundle.pure_potential == pure_potential
+    assert bundle.nonstrategic == nonstrategic
+    assert bundle.pure_harmonic == identity - pure_potential - nonstrategic
+    assert bundle.potential == pure_potential + nonstrategic
+    assert bundle.harmonic == identity - pure_potential
+
+
+@PROPERTY
+@given(spaces())
+def test_densified_subset_product_is_scaled_e_set(space):
+    players = range(1, space.n + 1)
+    for size in range(space.n + 1):
+        for subset in combinations(players, size):
+            k_s = math.prod(space.strategy_counts[i - 1] for i in subset)
+            dense = projectors._densify(space, {frozenset(subset): Fraction(1)})
+            assert dense == build_e_set(space, subset) * Fraction(1, k_s)
+
+
+def test_analyses_build_and_apply_no_dense_matrix(monkeypatch):
+    rng = random.Random(441)
+    space = GameSpace((2, 3, 2))
+    potential = potential_game(rng, space)
+    game = random_game(rng, space)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense matrix route used")
+
+    monkeypatch.setattr(Matrix, "__matmul__", refuse)
+    monkeypatch.setattr(projectors, "build_projectors", refuse)
+    monkeypatch.setattr(projectors, "_densify_blocks", refuse)
+    for g in (game, potential):
+        assert decompose(g).total() == g
+        for kind in SubspaceKind:
+            is_member(g, kind)
+        raw_potential_vector(g)
+    assert potential_function(game) is None
+    assert potential_function(potential) is not None

@@ -8,12 +8,15 @@ import pytest
 from _helpers import random_game, rps_game
 from gamedecomp.games import (
     Game,
+    GameFormatError,
     GameSpace,
     MalformedDocumentError,
     MixedProfile,
     PayoffCountError,
     SpaceCapError,
+    as_rational,
     parse_game,
+    parse_rational,
     serialize_game,
 )
 from gamedecomp.linalg import Matrix, stp
@@ -213,6 +216,22 @@ def test_parse_rational_and_decimal_strings():
     text = '{"players": 1, "strategies": [2], "payoffs": [["−9/8", "0.75"]]}'
     game = parse_game(text)
     assert game.payoff_rows[0] == (Fraction(-9, 8), Fraction(3, 4))
+
+
+def test_decimal_exponent_is_bounded():
+    assert parse_rational("1e4300") == 10**4300
+    assert parse_rational("-2.5E-4300") == Fraction(-25, 10**4301)
+    assert as_rational("1e4_300") == 10**4300
+    for text in ("1e5000", "1.5e-100000", "1e4301", "-1E+4301", "1e4_301"):
+        with pytest.raises(GameFormatError, match="exponent"):
+            as_rational(text)
+    # beyond CPython's 4300-digit integer limit the exponent itself is unreadable
+    for text in ("1e" + "9" * 5000, "1" * 5000, "1/" + "1" * 5000):
+        with pytest.raises(GameFormatError):
+            parse_rational(text)
+    doc = '{"players": 1, "strategies": [2], "payoffs": [["1e5000", 0]]}'
+    with pytest.raises(MalformedDocumentError, match="exponent"):
+        parse_game(doc)
 
 
 def test_parse_rejects_floats_and_bools():

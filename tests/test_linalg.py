@@ -30,14 +30,6 @@ def test_entries_are_exact_rationals():
         Matrix([[True]])
 
 
-def test_from_flat_checks_length():
-    m = Matrix.from_flat(2, 3, [1, 2, 3, 4, 5, 6])
-    assert m.shape == (2, 3)
-    assert m.row_tuple(1) == (4, 5, 6)
-    with pytest.raises(ValueError):
-        Matrix.from_flat(2, 3, [1, 2, 3, 4, 5])
-
-
 def test_ragged_rows_rejected():
     with pytest.raises(ValueError):
         Matrix([[1, 2], [3]])
