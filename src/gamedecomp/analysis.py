@@ -6,18 +6,18 @@ projection route independently.  The Nash side covers exhaustive pure
 equilibrium enumeration, the uniformly-mixed equilibrium test, the
 zero-payoff characterization of pure equilibria in pure harmonic
 games, and the dimension of the pure-harmonic games having a chosen
-profile as a pure equilibrium.
+profile as a pure equilibrium.  Every definition runs along players'
+own-strategy lines, which come from GameSpace.lines and line.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
-from gamedecomp.decompose import PotentialFunction
-from gamedecomp.games import Game, GameSpace, MixedProfile
-from gamedecomp.linalg import Matrix, block_diag, hstack, kron, rank, vstack
+from gamedecomp.decompose import PotentialFunction, differs_by_constant
+from gamedecomp.games import Game, GameSpace
+from gamedecomp.linalg import Matrix, block_diag, hstack, rank, vstack
 from gamedecomp.projectors import build_E
 
 
@@ -29,105 +29,61 @@ class NashReport:
     uniform_mixed_is_nash: bool
 
 
-def _own_strategy_variants(space: GameSpace, profile: Sequence[int], player: int):
-    """All profiles that differ from the given one only in player's choice."""
-    for choice in range(1, space.strategy_counts[player - 1] + 1):
-        varied = list(profile)
-        varied[player - 1] = choice
-        yield tuple(varied)
+def _own_lines(game: Game):
+    """(payoff row, line) for every player and each of that player's own-strategy lines."""
+    for i, row in enumerate(game.payoff_rows, start=1):
+        for line in game.space.lines(i):
+            yield row, line
 
 
 def check_nonstrategic_defn(game: Game) -> bool:
     """Whether every player's payoff ignores that player's own strategy."""
-    space = game.space
-    for i in range(1, space.n + 1):
-        row = game.payoff_rows[i - 1]
-        for profile in space.profiles():
-            if profile[i - 1] != 1:
-                continue
-            anchor = row[space.profile_index(profile) - 1]
-            for varied in _own_strategy_variants(space, profile, i):
-                if row[space.profile_index(varied) - 1] != anchor:
-                    return False
-    return True
+    return all(len(set(row[line])) == 1 for row, line in _own_lines(game))
 
 
 def check_pure_harmonic_defn(game: Game) -> bool:
     """Payoffs sum to zero across players at every profile, and each
     player's payoffs sum to zero along that player's own strategy axis."""
-    space = game.space
-    for profile in space.profiles():
-        idx = space.profile_index(profile) - 1
-        if sum((row[idx] for row in game.payoff_rows), Fraction(0)) != 0:
-            return False
-    for i in range(1, space.n + 1):
-        row = game.payoff_rows[i - 1]
-        for profile in space.profiles():
-            if profile[i - 1] != 1:
-                continue
-            total = Fraction(0)
-            for varied in _own_strategy_variants(space, profile, i):
-                total += row[space.profile_index(varied) - 1]
-            if total != 0:
-                return False
-    return True
+    if any(sum(column) != 0 for column in zip(*game.payoff_rows)):
+        return False
+    return all(sum(row[line]) == 0 for row, line in _own_lines(game))
 
 
 def check_harmonic_defn(game: Game) -> bool:
     """At every profile the players' own-strategy averaging residuals cancel."""
-    space = game.space
-    for profile in space.profiles():
-        idx = space.profile_index(profile) - 1
-        residual = Fraction(0)
-        for i, count in enumerate(space.strategy_counts, start=1):
-            row = game.payoff_rows[i - 1]
-            own_sum = Fraction(0)
-            for varied in _own_strategy_variants(space, profile, i):
-                own_sum += row[space.profile_index(varied) - 1]
-            residual += own_sum / count - row[idx]
-        if residual != 0:
-            return False
-    return True
+    residual = [-sum(column) for column in zip(*game.payoff_rows)]
+    for row, line in _own_lines(game):
+        values = row[line]
+        mean = sum(values) / len(values)
+        residual[line] = [r + mean for r in residual[line]]
+    return all(r == 0 for r in residual)
 
 
 def check_potential_defn(game: Game, phi: PotentialFunction) -> bool:
     """Exhaustively verify the deviation identity for a claimed potential.
 
     For every player and every unilateral deviation, the payoff change
-    must equal the potential change.
+    must equal the potential change: on each own-strategy line, payoff
+    and potential differ by one constant.
     """
     space = game.space
     if len(phi.values) != space.k:
         raise ValueError(f"potential has {len(phi.values)} values, expected {space.k}")
-    for i in range(1, space.n + 1):
-        row = game.payoff_rows[i - 1]
-        for profile in space.profiles():
-            idx = space.profile_index(profile) - 1
-            for varied in _own_strategy_variants(space, profile, i):
-                jdx = space.profile_index(varied) - 1
-                if row[jdx] - row[idx] != phi.values[jdx] - phi.values[idx]:
-                    return False
-    return True
+    return all(differs_by_constant(row[line], phi.values[line]) for row, line in _own_lines(game))
 
 
 def pure_nash(game: Game) -> list[tuple[int, ...]]:
-    """All pure Nash equilibria: no unilateral deviation strictly improves."""
-    space = game.space
-    out = []
-    for profile in space.profiles():
-        idx = space.profile_index(profile) - 1
-        good = True
-        for i in range(1, space.n + 1):
-            row = game.payoff_rows[i - 1]
-            if any(
-                row[space.profile_index(varied) - 1] > row[idx]
-                for varied in _own_strategy_variants(space, profile, i)
-            ):
-                good = False
-                break
-        if good:
-            out.append(profile)
-    return out
+    """All pure Nash equilibria: no unilateral deviation strictly improves.
+
+    A profile is one iff it attains the maximum of its own-strategy line
+    for every player.
+    """
+    stable = [True] * game.space.k
+    for row, line in _own_lines(game):
+        values = row[line]
+        best = max(values)
+        stable[line] = [ok and x == best for ok, x in zip(stable[line], values)]
+    return [profile for profile, ok in zip(game.space.profiles(), stable) if ok]
 
 
 def uniform_mixed_nash_check(game: Game) -> bool:
@@ -135,14 +91,14 @@ def uniform_mixed_nash_check(game: Game) -> bool:
 
     Pure deviations suffice: expected payoff is linear in one player's
     mixture, so the maximum over deviations is attained at a vertex.
+    Against uniform opponents, strategy c pays player i the mean of u_i
+    over the profiles where i plays c, so no deviation gains iff those
+    means, or equally their sums over k/k_i profiles each, are all equal.
     """
-    space = game.space
-    uniform = MixedProfile.uniform(space)
-    for i, count in enumerate(space.strategy_counts, start=1):
-        base = game.expected_payoff(i, uniform)
-        for choice in range(1, count + 1):
-            if game.expected_payoff(i, uniform.with_pure(i, choice)) > base:
-                return False
+    for i, row in enumerate(game.payoff_rows, start=1):
+        totals = [sum(column) for column in zip(*(row[line] for line in game.space.lines(i)))]
+        if len(set(totals)) > 1:
+            return False
     return True
 
 
@@ -157,13 +113,10 @@ def harmonic_pure_nash_zero_check(game: Game, profile: Sequence[int]) -> bool:
     if not check_pure_harmonic_defn(game):
         raise ValueError("game is not pure harmonic")
     space = game.space
-    s = space.check_profile(profile)
-    for i in range(1, space.n + 1):
-        row = game.payoff_rows[i - 1]
-        for varied in _own_strategy_variants(space, s, i):
-            if row[space.profile_index(varied) - 1] != 0:
-                return False
-    return True
+    index = space.profile_index(profile) - 1
+    return all(
+        x == 0 for i, row in enumerate(game.payoff_rows, start=1) for x in row[space.line(i, index)]
+    )
 
 
 def harmonic_nash_kernel_dim(space: GameSpace, profile: Sequence[int]) -> int:
@@ -176,31 +129,16 @@ def harmonic_nash_kernel_dim(space: GameSpace, profile: Sequence[int]) -> int:
     line through the profile).  The games in question form the kernel,
     so the dimension is n*k minus the stack's rank.
     """
-    s = space.check_profile(profile)
-    identity_row = hstack([Matrix.identity(space.k)] * space.n)
-    lift_block = block_diag([build_E(space, i).T for i in range(1, space.n + 1)])
-    selectors = []
-    for i, count in enumerate(space.strategy_counts, start=1):
-        before = space.k_between(1, i - 1)
-        after = space.k_between(i + 1, space.n)
-        prefix = _subprofile_selector(space, s, 1, i - 1, before)
-        suffix = _subprofile_selector(space, s, i + 1, space.n, after)
-        selectors.append(kron(kron(prefix, Matrix.identity(count)), suffix))
-    selector_block = block_diag(selectors)
+    index = space.profile_index(profile) - 1
+    players = range(1, space.n + 1)
+    identity = Matrix.identity(space.k)
+    identity_row = hstack([identity] * space.n)
+    lift_block = block_diag([build_E(space, i).T for i in players])
+    selector_block = block_diag(
+        [Matrix(identity.to_lists()[space.line(i, index)]) for i in players]
+    )
     stacked = vstack([identity_row, lift_block, selector_block])
     return space.payoff_cells - rank(stacked)
-
-
-def _subprofile_selector(
-    space: GameSpace, profile: tuple[int, ...], p: int, q: int, width: int
-) -> Matrix:
-    """Row that picks out the profile's coordinates for players p..q."""
-    if q < p:
-        return Matrix.identity(1)
-    index = 0
-    for i in range(p, q + 1):
-        index = index * space.strategy_counts[i - 1] + (profile[i - 1] - 1)
-    return Matrix.basis_column(width, index + 1).T
 
 
 def nash_report(game: Game) -> NashReport:

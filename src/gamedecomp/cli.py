@@ -46,6 +46,9 @@ from gamedecomp.projectors import (
 )
 
 TABLE_COMMANDS = ("project", "potential")
+# 10**digits is built for every rendered value, and CPython will not
+# print an integer of more than 4300 digits
+MAX_DECIMAL_DIGITS = 1000
 
 
 def _parse_space(text: str) -> GameSpace:
@@ -399,8 +402,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "project" and args.space is None:
         parser.error("project requires --space")
-    if args.decimal is not None and args.decimal < 0:
-        parser.error(f"--decimal needs a digit count >= 0, got {args.decimal}")
+    if args.decimal is not None and not 0 <= args.decimal <= MAX_DECIMAL_DIGITS:
+        parser.error(
+            f"--decimal needs a digit count from 0 to {MAX_DECIMAL_DIGITS}, got {args.decimal}"
+        )
     bad_format = _check_format(args)
     if bad_format is not None:
         return bad_format

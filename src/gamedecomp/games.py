@@ -5,7 +5,13 @@ signature: for n players with k_i strategies each, the space has one
 rational coordinate per (player, strategy profile) pair.  Payoff rows
 are stored per player, ordered so that later players vary fastest,
 which is the ordering induced by stacking semitensor products of
-standard basis columns.
+standard basis columns.  The analyses and the averaging operators
+learn that layout only from GameSpace.lines and GameSpace.line, since
+every definition past the projections runs along a player's
+own-strategy lines.  The Kronecker-built structural matrices, the
+dense bit masks in projectors.py and
+decompose.nonstrategic_component_direct index profiles on their own,
+so they stay independent oracles for it.
 
 The JSON document format, its parsing diagnostics, and the exact
 serialization round trip live here as well.
@@ -81,8 +87,13 @@ def parse_rational(text: str) -> Fraction:
         if exponent is None or abs(int(exponent.group(1))) <= MAX_DECIMAL_EXPONENT:
             return Fraction(cleaned)
     except (ValueError, ZeroDivisionError) as exc:
-        raise GameFormatError(f"cannot parse rational string {text!r}: {exc}") from None
-    raise GameFormatError(f"decimal exponent of {text!r} exceeds {MAX_DECIMAL_EXPONENT}")
+        raise GameFormatError(f"cannot parse rational string {_shown(text)}: {exc}") from None
+    raise GameFormatError(f"decimal exponent of {_shown(text)} exceeds {MAX_DECIMAL_EXPONENT}")
+
+
+def _shown(text: str) -> str:
+    """The text for an error message, cut to its first 40 characters."""
+    return repr(text) if len(text) <= 40 else f"{text[:40]!r}..."
 
 
 @dataclass(frozen=True)
@@ -170,6 +181,34 @@ class GameSpace:
             rem %= base
         return tuple(digits)
 
+    def lines(self, player: int) -> list[slice]:
+        """Player's own-strategy lines, as slices over 0-based profile indices.
+
+        A line holds the k_i profiles that differ only in player's choice,
+        in strategy order; the lines partition range(k) and come in index
+        order of their first profile, which is the order of the other
+        players' subprofiles.
+        """
+        stride, block = self._axis(player)
+        return [
+            slice(start + offset, start + block, stride)
+            for start in range(0, self.k, block)
+            for offset in range(stride)
+        ]
+
+    def line(self, player: int, index: int) -> slice:
+        """The own-strategy line of player through the profile at 0-based index."""
+        stride, block = self._axis(player)
+        start = index - index % block
+        return slice(start + index % stride, start + block, stride)
+
+    def _axis(self, player: int) -> tuple[int, int]:
+        """Index stride of player's choice, and the span of one sweep of it."""
+        if not 1 <= player <= self.n:
+            raise ValueError(f"player {player} out of range 1..{self.n}")
+        stride = self.k_between(player + 1, self.n)
+        return stride, stride * self.strategy_counts[player - 1]
+
 
 @dataclass(frozen=True)
 class MixedProfile:
@@ -201,15 +240,6 @@ class MixedProfile:
                 for choice, c in zip(s, space.strategy_counts)
             )
         )
-
-    def with_pure(self, player: int, strategy: int) -> "MixedProfile":
-        """Copy with one player's weights replaced by a pure strategy."""
-        count = len(self.weights[player - 1])
-        if not 1 <= strategy <= count:
-            raise ValueError(f"strategy {strategy} out of range 1..{count}")
-        rows = list(self.weights)
-        rows[player - 1] = tuple(Fraction(int(j == strategy)) for j in range(1, count + 1))
-        return MixedProfile(tuple(rows))
 
 
 @dataclass(frozen=True)

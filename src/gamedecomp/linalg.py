@@ -4,10 +4,10 @@ All entries are `fractions.Fraction`, so every result in this module is
 exact: equality tests mean mathematical equality, and rank decisions
 never depend on a tolerance.  Floats are refused at construction time.
 
-The module provides the Kronecker and semitensor products, linear
-solving and rank via fraction-free (Bareiss) elimination, Moore-Penrose
-inverses via full-rank factorization, and group inverses via the
-defining equation A@A@X = A.
+The module provides the Kronecker and semitensor products, and one
+fraction-free (Bareiss) elimination kernel behind rank, linear solving,
+inverses and the full-rank factorization of Moore-Penrose inverses;
+group inverses come from the defining equation A@A@X = A.
 """
 
 from __future__ import annotations
@@ -321,11 +321,14 @@ def _bareiss_echelon(rows: list[list[int]], pivot_width: int) -> tuple[list[list
     return rows, pivots
 
 
+def _pivot_columns(a: Matrix) -> list[int]:
+    """Pivot columns of a's row echelon form, in order."""
+    return _bareiss_echelon(_scaled_integer_rows(a.to_lists()), a.ncols)[1]
+
+
 def rank(a: Matrix) -> int:
     """Rank over the rationals."""
-    rows = _scaled_integer_rows(a.to_lists())
-    _, pivots = _bareiss_echelon(rows, a.ncols)
-    return len(pivots)
+    return len(_pivot_columns(a))
 
 
 def solve_linear(a: Matrix, b: Matrix) -> Matrix | None:
@@ -360,51 +363,26 @@ def inverse(a: Matrix) -> Matrix:
     """Exact inverse of a nonsingular square matrix."""
     if a.nrows != a.ncols:
         raise ValueError("inverse requires a square matrix")
-    if rank(a) != a.nrows:
-        raise ValueError("matrix is singular")
     result = solve_linear(a, Matrix.identity(a.nrows))
-    assert result is not None
+    if result is None:
+        raise ValueError("matrix is singular")
     return result
-
-
-def _rref(a: Matrix) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form with its pivot columns."""
-    rows = a.to_lists()
-    m, n = a.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(n):
-        pivot_row = next((i for i in range(r, m) if rows[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        lead = rows[r][c]
-        rows[r] = [x / lead for x in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][c] != 0:
-                factor = rows[i][c]
-                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    return rows, pivots
 
 
 def mp_inverse(a: Matrix) -> Matrix:
     """Moore-Penrose inverse, exactly.
 
     Computed through the full-rank factorization a = F @ G with F the
-    pivot columns of a and G the nonzero rows of the reduced echelon
-    form; then the inverse is G.T @ inv(G@G.T) @ inv(F.T@F) @ F.T.
-    The zero matrix maps to the zero matrix of transposed shape.
+    pivot columns of a and G the unique solution of F @ G = a (F has
+    full column rank); then the inverse is
+    G.T @ inv(G@G.T) @ inv(F.T@F) @ F.T.  The zero matrix maps to the
+    zero matrix of transposed shape.
     """
-    rref_rows, pivots = _rref(a)
-    r = len(pivots)
-    if r == 0:
+    pivots = _pivot_columns(a)
+    if not pivots:
         return Matrix.zeros(a.ncols, a.nrows)
     factor_f = a.take_columns(pivots)
-    factor_g = Matrix(rref_rows[:r])
+    factor_g = solve_linear(factor_f, a)
     left = inverse(factor_g @ factor_g.T)
     right = inverse(factor_f.T @ factor_f)
     return factor_g.T @ left @ right @ factor_f.T

@@ -8,18 +8,20 @@ An Element {frozenset S: c_S} stands for sum_S c_S M_S; the group
 inverse X of sum_i (I - M_i) and each k x k projection block are one.
 
 apply_element() applies an Element to one payoff row by chaining
-along-axis means, with no matrix; decompose.py uses only that.
-_densify_blocks() writes the dense matrix, whose entry (p, q) is the sum
-of c_S / k_S over the S containing the players on which p and q differ,
-so each block holds at most 2^n shared values.  The dense ProjectorSet
-serves `project` and the oracles; so do the structural matrices E_i, e_i,
-B_N, B_P and P_N, and a second route to X that solves its definition.
+along-axis means over GameSpace.lines, with no matrix; decompose.py uses
+only that.  _densify_blocks() writes the dense matrix, whose entry
+(p, q) is the sum of c_S / k_S over the S containing the players on
+which p and q differ, so each block holds at most 2^n shared values;
+its bit masks index profiles on their own, not through lines.  The
+dense ProjectorSet serves `project` and the oracles; so do the
+Kronecker-built structural matrices E_i, e_i, B_N, B_P and P_N, and a
+second route to X that solves its definition.  Nothing is cached: a
+bundle is built on each call.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -99,23 +101,18 @@ def build_P_N(space: GameSpace) -> Matrix:
 
 
 def axis_means(space: GameSpace, row: Sequence[Fraction], player: int) -> list[Fraction]:
-    """Means of a payoff row along player's axis, one per profile of the others."""
+    """Means of a payoff row along player's axis, one per own-strategy line."""
     count = space.strategy_counts[player - 1]
-    after = space.k_between(player + 1, space.n)
-    block = count * after
-    return [
-        sum(row[start + b : start + block : after]) / count
-        for start in range(0, len(row), block)
-        for b in range(after)
-    ]
+    return [sum(row[line]) / count for line in space.lines(player)]
 
 
 def average(space: GameSpace, row: Sequence[Fraction], player: int) -> list[Fraction]:
     """M_i @ row: each payoff replaced by its mean along player i's axis."""
-    after = space.k_between(player + 1, space.n)
-    block = space.strategy_counts[player - 1] * after
-    means = axis_means(space, row, player)
-    return [means[p // block * after + p % after] for p in range(len(row))]
+    count = space.strategy_counts[player - 1]
+    out = list(row)
+    for line, mean in zip(space.lines(player), axis_means(space, row, player)):
+        out[line] = [mean] * count
+    return out
 
 
 def apply_element(space: GameSpace, element: Element, row: Sequence[Fraction]) -> list[Fraction]:
@@ -262,32 +259,13 @@ def subspace_dimension(space: GameSpace, kind: SubspaceKind) -> int:
     }[kind]
 
 
-_cache: dict[tuple[int, ...], ProjectorSet] = {}
-_cache_lock = threading.Lock()
-
-
 def build_projectors(space: GameSpace) -> ProjectorSet:
-    """Build (or fetch) the projector bundle for a space.
+    """The projector bundle for a space: one densified element per block.
 
-    Results are cached per strategy-count signature; the lock makes the
-    cache safe under concurrent readers and guarantees each signature
-    is constructed at most once.
-    """
-    key = space.strategy_counts
-    with _cache_lock:
-        bundle = _cache.get(key)
-        if bundle is None:
-            bundle = _build_projector_set(space)
-            _cache[key] = bundle
-    return bundle
-
-
-def _build_projector_set(space: GameSpace) -> ProjectorSet:
-    """Densify one element per (i, j) block of each projection.
-
-    Block (i, j) is delta_ij (a I + b M_i) + sign (I - M_i) X (I - M_j):
-    the pure potential projection P_N X P_N.T has a = b = 0, sign = 1,
-    and the nonstrategic one diag(M_i) has b = 1, sign = 0.
+    Block (i, j) of each projection is delta_ij (a I + b M_i) + sign
+    (I - M_i) X (I - M_j): the pure potential projection P_N X P_N.T
+    has a = b = 0, sign = 1, and the nonstrategic one diag(M_i) has
+    b = 1, sign = 0.
     """
     players = range(1, space.n + 1)
     x = closed_form_coefficients(space.n)

@@ -1,14 +1,22 @@
-"""Shared fixtures: random generators, reference games, and a naive
-Fraction-based elimination oracle kept independent of the package's
-fraction-free kernels."""
+"""Shared fixtures: random generators and hypothesis strategies,
+reference games, a naive Fraction-based elimination oracle kept
+independent of the package's fraction-free kernels, and brute-force
+Nash and potential checks that enumerate deviations through
+profile_index and expected_payoff, independent of GameSpace.lines."""
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
-from gamedecomp.games import Game, GameSpace
+from hypothesis import settings
+from hypothesis import strategies as st
+
+from gamedecomp.games import Game, GameSpace, MixedProfile
 from gamedecomp.linalg import Matrix
+
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
 
 
 def random_matrix(rng: random.Random, nrows: int, ncols: int) -> Matrix:
@@ -19,6 +27,27 @@ def random_game(rng: random.Random, space: GameSpace) -> Game:
     return Game.from_vector(
         space, [rng.randint(-9, 9) for _ in range(space.payoff_cells)]
     )
+
+
+@st.composite
+def spaces(draw, max_cells=200):
+    """n <= 4 players with 1 to 4 strategies each, at most max_cells cells."""
+    n = draw(st.integers(1, 4))
+    counts: list[int] = []
+    for _ in range(n):
+        room = max_cells // n // math.prod(counts)
+        counts.append(draw(st.integers(1, min(4, room))))
+    return GameSpace(tuple(counts))
+
+
+@st.composite
+def games(draw, max_cells=200):
+    space = draw(spaces(max_cells))
+    cells = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+    payoffs = draw(
+        st.lists(cells, min_size=space.payoff_cells, max_size=space.payoff_cells)
+    )
+    return Game.from_vector(space, payoffs)
 
 
 def rps_game() -> Game:
@@ -72,3 +101,51 @@ def naive_consistent(a: Matrix, b: Matrix) -> bool:
     from gamedecomp.linalg import hstack
 
     return naive_rank(hstack([a, b])) == naive_rank(a)
+
+
+# -- brute-force analyses: every unilateral deviation, one at a time ------
+
+
+def _deviations(space: GameSpace, profile: tuple[int, ...], player: int):
+    """Every profile that differs from the given one only in player's choice."""
+    for choice in range(1, space.strategy_counts[player - 1] + 1):
+        yield profile[: player - 1] + (choice,) + profile[player:]
+
+
+def brute_pure_nash(game: Game) -> list[tuple[int, ...]]:
+    space = game.space
+    return [
+        s
+        for s in space.profiles()
+        if all(
+            game.payoff(i, varied) <= game.payoff(i, s)
+            for i in range(1, space.n + 1)
+            for varied in _deviations(space, s, i)
+        )
+    ]
+
+
+def brute_uniform_mixed_nash(game: Game) -> bool:
+    uniform = MixedProfile.uniform(game.space)
+    for i, count in enumerate(game.space.strategy_counts, start=1):
+        base = game.expected_payoff(i, uniform)
+        for choice in range(1, count + 1):
+            weights = list(uniform.weights)
+            weights[i - 1] = tuple(Fraction(int(j == choice)) for j in range(1, count + 1))
+            if game.expected_payoff(i, MixedProfile(tuple(weights))) > base:
+                return False
+    return True
+
+
+def brute_potential_defn(game: Game, values) -> bool:
+    space = game.space
+
+    def phi(profile):
+        return values[space.profile_index(profile) - 1]
+
+    return all(
+        game.payoff(i, varied) - game.payoff(i, s) == phi(varied) - phi(s)
+        for s in space.profiles()
+        for i in range(1, space.n + 1)
+        for varied in _deviations(space, s, i)
+    )

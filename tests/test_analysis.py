@@ -4,8 +4,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
 
-from _helpers import random_game, rps_game, symmetric_222, symmetric_33
+from _helpers import (
+    PROPERTY,
+    brute_potential_defn,
+    brute_pure_nash,
+    brute_uniform_mixed_nash,
+    games,
+    random_game,
+    rps_game,
+    symmetric_222,
+    symmetric_33,
+)
 from gamedecomp.analysis import (
     check_harmonic_defn,
     check_nonstrategic_defn,
@@ -17,7 +28,13 @@ from gamedecomp.analysis import (
     pure_nash,
     uniform_mixed_nash_check,
 )
-from gamedecomp.decompose import PotentialFunction, is_member, potential_function
+from gamedecomp.decompose import (
+    PotentialFunction,
+    decompose,
+    is_member,
+    potential_function,
+    raw_potential_vector,
+)
 from gamedecomp.games import Game, GameSpace
 from gamedecomp.linalg import Matrix
 from gamedecomp.projectors import SubspaceKind, build_projectors, subspace_dimension
@@ -221,3 +238,20 @@ def test_nash_report_bundles_both_answers():
     report = nash_report(rps_game())
     assert report.pure_equilibria == ()
     assert report.uniform_mixed_is_nash
+
+
+@PROPERTY
+@given(games(max_cells=100))
+def test_line_analyses_equal_brute_force(game):
+    # the game and its five projections: random, potential, nonstrategic,
+    # pure harmonic and harmonic members of one space
+    parts = decompose(game)
+    for kind, member in [(None, game)] + [(kind, parts.projection(kind)) for kind in SubspaceKind]:
+        assert pure_nash(member) == brute_pure_nash(member)
+        assert uniform_mixed_nash_check(member) == brute_uniform_mixed_nash(member)
+        raw = raw_potential_vector(member)
+        for values in (raw, member.payoff_rows[0]):
+            verdict = check_potential_defn(member, PotentialFunction(values))
+            assert verdict == brute_potential_defn(member, values)
+        if kind in (SubspaceKind.POTENTIAL, SubspaceKind.PURE_POTENTIAL, SubspaceKind.NONSTRATEGIC):
+            assert check_potential_defn(member, PotentialFunction(raw))

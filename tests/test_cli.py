@@ -163,6 +163,39 @@ def test_negative_decimal_rejected(tmp_path, capsys):
     assert json.loads(out)["decimal_digits"] == 0
 
 
+def test_decimal_above_bound_rejected_before_reading(tmp_path, capsys):
+    missing = str(tmp_path / "missing.json")
+    with pytest.raises(SystemExit) as excinfo:
+        main(["decompose", missing, "--decimal", "5000"])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "digit count" in captured.err
+    third = Game(GameSpace((2, 2)), ((Fraction(1, 3), 0, 0, 0), (0, 0, 0, 0)))
+    code, out, _ = run_cli(capsys, "decompose", write_game(tmp_path, third), "--decimal", "1000")
+    assert code == 0
+    assert json.loads(out)["decimal_digits"] == 1000
+
+
+def test_long_rational_is_not_echoed_whole(tmp_path, capsys):
+    digits = "7" * 5000
+    path = tmp_path / "long.json"
+    path.write_text(
+        f'{{"players": 1, "strategies": [2], "payoffs": [["{digits}", 0]]}}',
+        encoding="utf-8",
+    )
+    code, out, err = run_cli(capsys, "potential", str(path))
+    assert code == 1
+    assert out == ""
+    assert "7" * 40 + "'..." in err and len(err) < 400
+    game_path = write_game(tmp_path, symmetric_222(1, 1, 2, -1, 1, -1))
+    with pytest.raises(SystemExit) as excinfo:
+        main(["potential", game_path, f"--shift={digits}"])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "7" * 40 + "'..." in err and len(err) < 1000
+
+
 def test_huge_exponent_rejected_in_payoffs_and_shift(tmp_path, capsys):
     path = tmp_path / "huge.json"
     path.write_text(

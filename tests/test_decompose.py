@@ -7,11 +7,10 @@ from functools import lru_cache
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
+from hypothesis import given
 
 import gamedecomp.projectors as projectors
-from _helpers import random_game, rps_game, symmetric_222, symmetric_33
+from _helpers import PROPERTY, games, random_game, rps_game, spaces, symmetric_222, symmetric_33
 from gamedecomp.analysis import check_potential_defn
 from gamedecomp.decompose import (
     decompose,
@@ -307,30 +306,6 @@ def test_check_potential_defn_length_guard():
 
 # -- the matrix-free route against the dense oracles, on random spaces ----
 
-PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
-
-
-@st.composite
-def spaces(draw, max_cells=200):
-    """n <= 4 players with 1 to 4 strategies each, at most max_cells cells."""
-    n = draw(st.integers(1, 4))
-    counts: list[int] = []
-    for _ in range(n):
-        room = max_cells // n // math.prod(counts)
-        counts.append(draw(st.integers(1, min(4, room))))
-    return GameSpace(tuple(counts))
-
-
-@st.composite
-def games(draw, max_cells=200):
-    space = draw(spaces(max_cells))
-    cells = st.fractions(min_value=-9, max_value=9, max_denominator=12)
-    payoffs = draw(
-        st.lists(cells, min_size=space.payoff_cells, max_size=space.payoff_cells)
-    )
-    return Game.from_vector(space, payoffs)
-
-
 @lru_cache(maxsize=None)
 def oracle_group_inverse(counts: tuple[int, ...]) -> Matrix:
     """X by the dense defining-equation solve on sum_i (I - e_i/k_i)."""
@@ -395,7 +370,7 @@ def test_potential_offsets_equal_lift_route(game):
 @PROPERTY
 @given(spaces(max_cells=100))
 def test_densified_bundle_equals_matrix_products(space):
-    bundle = projectors._build_projector_set(space)
+    bundle = build_projectors(space)
     x = oracle_group_inverse(space.strategy_counts)
     p_n = build_P_N(space)
     pure_potential = p_n @ x @ p_n.T

@@ -4,8 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
 
-from _helpers import random_game, rps_game
+from _helpers import PROPERTY, random_game, rps_game, spaces
 from gamedecomp.games import (
     Game,
     GameFormatError,
@@ -142,6 +143,26 @@ def test_game_addition_and_equality():
         a + Game.zero(GameSpace((2, 3)))
 
 
+@PROPERTY
+@given(spaces())
+def test_lines_hold_the_own_strategy_variants(space):
+    profiles = range(space.k)
+    for i, count in enumerate(space.strategy_counts, start=1):
+        lines = space.lines(i)
+        members = [list(profiles[line]) for line in lines]
+        assert sorted(p for line in members for p in line) == list(profiles)
+        assert [line[0] for line in members] == sorted(line[0] for line in members)
+        for line, indices in zip(lines, members):
+            first = space.index_profile(indices[0] + 1)
+            assert first[i - 1] == 1
+            variants = [first[: i - 1] + (c,) + first[i:] for c in range(1, count + 1)]
+            assert indices == [space.profile_index(v) - 1 for v in variants]
+            assert all(space.line(i, p) == line for p in indices)
+    for player in (0, space.n + 1):
+        with pytest.raises(ValueError):
+            space.lines(player)
+
+
 def test_mixed_profile_validation():
     space = GameSpace((2, 3))
     uniform = MixedProfile.uniform(space)
@@ -152,9 +173,6 @@ def test_mixed_profile_validation():
         MixedProfile(((Fraction(3, 2), Fraction(-1, 2)),))
     pure = MixedProfile.pure(space, (2, 3))
     assert pure.weights == ((0, 1), (0, 0, 1))
-    switched = uniform.with_pure(1, 2)
-    assert switched.weights[0] == (0, 1)
-    assert switched.weights[1] == uniform.weights[1]
 
 
 def test_expected_payoff_at_pure_profile():

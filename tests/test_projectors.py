@@ -1,6 +1,5 @@
 """Structural matrices, the group inverse routes, and the projector bundle."""
 
-import threading
 from fractions import Fraction
 from itertools import chain, combinations
 
@@ -229,28 +228,6 @@ def test_bundle_entries_share_block_values():
     matrices = [bundle.group_inverse] + [bundle.projection(kind) for kind in SubspaceKind]
     objects = {id(x) for m in matrices for row in m.rows_iter() for x in row}
     assert len(objects) <= (5 * space.n**2 + 1) * 2**space.n
-
-
-def test_bundle_is_cached_per_signature():
-    a = build_projectors(GameSpace((2, 2)))
-    b = build_projectors(GameSpace((2, 2), cell_cap=512))
-    assert a is b
-
-
-def test_concurrent_builds_share_one_bundle():
-    space = GameSpace((2, 5))
-    results = []
-
-    def worker():
-        results.append(build_projectors(space))
-
-    threads = [threading.Thread(target=worker) for _ in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert len(results) == 8
-    assert all(r is results[0] for r in results)
 
 
 def test_subspace_dimensions_sum():
