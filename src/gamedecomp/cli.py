@@ -31,7 +31,10 @@ from gamedecomp.games import (
     Game,
     GameFormatError,
     GameSpace,
+    MalformedDocumentError,
+    _cut,
     _format_rational,
+    _shown,
     parse_game,
     parse_rational,
 )
@@ -49,6 +52,15 @@ TABLE_COMMANDS = ("project", "potential")
 # 10**digits is built for every rendered value, and CPython will not
 # print an integer of more than 4300 digits
 MAX_DECIMAL_DIGITS = 1000
+# 2**14284 < 10**4300: CPython prints integers of up to 4300 digits
+MAX_PRINTED_BITS = 14_284
+# project and verify build dense nk x nk matrices: at 512 cells verify
+# takes minutes and project's output runs to megabytes
+MAX_DENSE_CELLS = 512
+
+
+class ResultTooLongError(Exception):
+    """A result holds a number too long to print exactly."""
 
 
 def _parse_space(text: str) -> GameSpace:
@@ -59,11 +71,11 @@ def _parse_space(text: str) -> GameSpace:
         counts = tuple(int(c) for c in tail.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"space must look like 'n:k1,k2,...', got {text!r}"
+            f"space must look like 'n:k1,k2,...', got {_shown(text)}"
         ) from None
     if players != len(counts):
         raise argparse.ArgumentTypeError(
-            f"space declares {players} players but lists {len(counts)} strategy counts"
+            f"space declares {_cut(str(players))} players but lists {len(counts)} strategy counts"
         )
     try:
         return GameSpace(counts)
@@ -78,8 +90,16 @@ def _parse_rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _printable(n: int) -> int:
+    if n.bit_length() > MAX_PRINTED_BITS:
+        raise ResultTooLongError(
+            f"a result has a number of more than {MAX_PRINTED_BITS} bits, too long to print"
+        )
+    return n
+
+
 def _decimal_string(x: Fraction, digits: int) -> str:
-    scaled = round(x * Fraction(10**digits))
+    scaled = _printable(round(x * Fraction(10**digits)))
     sign = "-" if scaled < 0 else ""
     magnitude = str(abs(scaled)).rjust(digits + 1, "0")
     if digits == 0:
@@ -88,7 +108,11 @@ def _decimal_string(x: Fraction, digits: int) -> str:
 
 
 def _render(x: Fraction, decimal: int | None) -> object:
-    return _format_rational(x) if decimal is None else _decimal_string(x, decimal)
+    if decimal is not None:
+        return _decimal_string(x, decimal)
+    _printable(x.numerator)
+    _printable(x.denominator)
+    return _format_rational(x)
 
 
 def _space_doc(space: GameSpace) -> dict:
@@ -112,7 +136,11 @@ def _emit_json(doc: dict, decimal: int | None) -> None:
 
 def _load_game(args: argparse.Namespace) -> Game:
     with open(args.file, "r", encoding="utf-8") as handle:
-        game = parse_game(handle.read())
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise MalformedDocumentError(f"malformed document: {exc}") from None
+    game = parse_game(text)
     if args.space is not None:
         flat = [x for row in game.payoff_rows for x in row]
         if len(flat) != args.space.payoff_cells:
@@ -138,6 +166,19 @@ def _check_format(args: argparse.Namespace) -> int | None:
         )
         return 2
     return None
+
+
+def _check_dense(command: str, space: GameSpace) -> int | None:
+    """Refuse, before any build, a space too large for dense nk x nk matrices."""
+    cells = space.payoff_cells
+    if cells <= MAX_DENSE_CELLS:
+        return None
+    print(
+        f"error: {command} builds dense {cells}x{cells} matrices and accepts "
+        f"at most {MAX_DENSE_CELLS} payoff cells",
+        file=sys.stderr,
+    )
+    return 2
 
 
 # -- subcommands --------------------------------------------------------
@@ -217,6 +258,9 @@ def _cmd_potential(args: argparse.Namespace) -> int:
 
 
 def _cmd_project(args: argparse.Namespace) -> int:
+    refused = _check_dense("project", args.space)
+    if refused is not None:
+        return refused
     bundle = build_projectors(args.space)
     total = bundle.pure_potential + bundle.nonstrategic + bundle.pure_harmonic
     if total != Matrix.identity(args.space.payoff_cells):
@@ -256,6 +300,9 @@ def _cmd_nash(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     game = _load_game(args)
+    refused = _check_dense("verify", game.space)
+    if refused is not None:
+        return refused
     checks = _verification_checks(game)
     doc = {
         "command": "verify",
@@ -409,9 +456,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     bad_format = _check_format(args)
     if bad_format is not None:
         return bad_format
+    # the errors a subcommand raises for its input: a game document it
+    # cannot accept, a file it cannot read (or stdout it cannot write),
+    # and a result too long to print; anything else is a fault here
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (GameFormatError, ResultTooLongError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

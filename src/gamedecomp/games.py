@@ -92,8 +92,13 @@ def parse_rational(text: str) -> Fraction:
 
 
 def _shown(text: str) -> str:
-    """The text for an error message, cut to its first 40 characters."""
+    """The text for an error message, quoted and cut to its first 40 characters."""
     return repr(text) if len(text) <= 40 else f"{text[:40]!r}..."
+
+
+def _cut(text: str) -> str:
+    """The text for an error message, cut to its first 40 characters."""
+    return text if len(text) <= 40 else f"{text[:40]}..."
 
 
 @dataclass(frozen=True)
@@ -115,11 +120,16 @@ class GameSpace:
         if len(counts) < 1:
             raise ValueError("a game space needs at least one player")
         if any(not isinstance(c, int) or isinstance(c, bool) or c < 1 for c in counts):
-            raise ValueError(f"strategy counts must be integers >= 1, got {counts}")
-        if self.n * self.k > self.cell_cap:
+            raise ValueError(f"strategy counts must be integers >= 1, got {_cut(repr(counts))}")
+        cells = self.n * self.k
+        if cells > self.cell_cap:
+            # huge strategy counts can give a cell count too long for
+            # str(); its bit length is enough to refuse the space
+            bits = cells.bit_length()
+            size = str(cells) if bits <= 64 else f"at least 2**{bits - 1}"
             raise SpaceCapError(
-                f"space [{self.n}; {','.join(map(str, counts))}] has "
-                f"{self.n * self.k} payoff cells, exceeding the cap of {self.cell_cap}"
+                f"space [{self.n}; {_cut(','.join(map(str, counts)))}] has "
+                f"{size} payoff cells, exceeding the cap of {self.cell_cap}"
             )
 
     @property
@@ -358,7 +368,9 @@ def parse_game(text: str, cell_cap: int = DEFAULT_CELL_CAP) -> Game:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # besides JSONDecodeError: integer literals over CPython's 4300
+        # digits (ValueError) and nesting past the recursion limit
         raise MalformedDocumentError(f"malformed document: {exc}") from None
     if not isinstance(doc, dict):
         raise MalformedDocumentError("malformed document: top level must be an object")

@@ -4,16 +4,22 @@ All entries are `fractions.Fraction`, so every result in this module is
 exact: equality tests mean mathematical equality, and rank decisions
 never depend on a tolerance.  Floats are refused at construction time.
 
-The module provides the Kronecker and semitensor products, and one
-fraction-free (Bareiss) elimination kernel behind rank, linear solving,
-inverses and the full-rank factorization of Moore-Penrose inverses;
-group inverses come from the defining equation A@A@X = A.
+The inner loops run on Python ints, not Fractions.  A product clears
+the denominators of the left rows and the right columns, takes integer
+dot products and builds one Fraction per entry.  One fraction-free
+(Bareiss) elimination kernel is behind rank, linear solving, inverses
+and the full-rank factorization of Moore-Penrose inverses; the solver
+back-substitutes for the determinant times the solution, which is
+integral, and divides once per entry at the end.  Group inverses come
+from the defining equation A@A@X = A.  The module also provides the
+Kronecker and semitensor products.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Iterator, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -153,10 +159,23 @@ class Matrix:
             raise ValueError(
                 f"cannot multiply {self._nrows}x{self._ncols} by {other._nrows}x{other._ncols}"
             )
-        cols = list(zip(*other._rows))
-        return Matrix(
-            [[_dot(row, col) for col in cols] for row in self._rows]
-        )
+        # Entry (r, c) is the integer dot product of row r and column c,
+        # each cleared of its denominators, over the product of their
+        # scales: one Fraction, hence one gcd, per entry, not per term.
+        rows, row_scales = _scaled_integer_rows(self._rows)
+        cols, col_scales = _scaled_integer_rows(list(zip(*other._rows)))
+        zero = Fraction(0)
+        out = []
+        for row, row_scale in zip(rows, row_scales):
+            terms = [j for j, x in enumerate(row) if x]
+            values = [row[j] for j in terms]
+            dense = len(terms) == len(row)
+            out_row = []
+            for col, col_scale in zip(cols, col_scales):
+                total = sum(map(mul, values, col if dense else [col[j] for j in terms]))
+                out_row.append(Fraction(total, row_scale * col_scale) if total else zero)
+            out.append(out_row)
+        return Matrix(out)
 
     def trace(self) -> Fraction:
         if self._nrows != self._ncols:
@@ -184,14 +203,6 @@ class Matrix:
     def _check_same_shape(self, other: "Matrix") -> None:
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
-
-
-def _dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
-    total = Fraction(0)
-    for x, y in zip(a, b):
-        if x and y:
-            total += x * y
-    return total
 
 
 # -- block composition ------------------------------------------------
@@ -272,13 +283,21 @@ def stp(a: Matrix, b: Matrix) -> Matrix:
 # -- elimination -------------------------------------------------------
 
 
-def _scaled_integer_rows(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
-    """Clear denominators row by row; preserves row space and solutions."""
+def _scaled_integer_rows(
+    rows: Sequence[Sequence[Fraction]],
+) -> tuple[list[list[int]], list[int]]:
+    """Clear denominators row by row; preserves row space and solutions.
+
+    Returns the integer rows and each row's scale, the least common
+    multiple of its denominators, so that row = integer row / scale.
+    """
     out = []
+    scales = []
     for row in rows:
         scale = math.lcm(*(x.denominator for x in row)) if row else 1
-        out.append([int(x * scale) for x in row])
-    return out
+        out.append([x.numerator * (scale // x.denominator) for x in row])
+        scales.append(scale)
+    return out, scales
 
 
 def _bareiss_echelon(rows: list[list[int]], pivot_width: int) -> tuple[list[list[int]], list[int]]:
@@ -323,7 +342,7 @@ def _bareiss_echelon(rows: list[list[int]], pivot_width: int) -> tuple[list[list
 
 def _pivot_columns(a: Matrix) -> list[int]:
     """Pivot columns of a's row echelon form, in order."""
-    return _bareiss_echelon(_scaled_integer_rows(a.to_lists()), a.ncols)[1]
+    return _bareiss_echelon(_scaled_integer_rows(a.to_lists())[0], a.ncols)[1]
 
 
 def rank(a: Matrix) -> int:
@@ -341,22 +360,25 @@ def solve_linear(a: Matrix, b: Matrix) -> Matrix | None:
     if a.nrows != b.nrows:
         raise ValueError(f"incompatible shapes {a.shape} and {b.shape}")
     augmented = [list(ra) + list(rb) for ra, rb in zip(a.rows_iter(), b.rows_iter())]
-    rows, pivots = _bareiss_echelon(_scaled_integer_rows(augmented), a.ncols)
+    rows, pivots = _bareiss_echelon(_scaled_integer_rows(augmented)[0], a.ncols)
     nsolved = len(pivots)
     for i in range(nsolved, len(rows)):
         if any(rows[i][a.ncols + t] != 0 for t in range(b.ncols)):
             return None
+    # The last Bareiss pivot is the determinant of the pivot subsystem,
+    # so by Cramer's rule y = det * x is integral and every division in
+    # the back-substitution for y is exact.
+    det = rows[nsolved - 1][pivots[-1]] if pivots else 1
+    y = [[0] * b.ncols for _ in range(a.ncols)]
+    for back in range(nsolved - 1, -1, -1):
+        row, pc = rows[back], pivots[back]
+        later = [(y[j], row[j]) for j in pivots[back + 1 :] if row[j]]
+        y[pc] = [
+            (det * row[a.ncols + t] - sum([y_j[t] * u for y_j, u in later])) // row[pc]
+            for t in range(b.ncols)
+        ]
     zero = Fraction(0)
-    solution = [[zero] * b.ncols for _ in range(a.ncols)]
-    for t in range(b.ncols):
-        for back in range(nsolved - 1, -1, -1):
-            pc = pivots[back]
-            acc = Fraction(rows[back][a.ncols + t])
-            for j in range(pc + 1, a.ncols):
-                if rows[back][j] and solution[j][t]:
-                    acc -= rows[back][j] * solution[j][t]
-            solution[pc][t] = acc / rows[back][pc]
-    return Matrix(solution)
+    return Matrix([[Fraction(v, det) if v else zero for v in y_row] for y_row in y])
 
 
 def inverse(a: Matrix) -> Matrix:

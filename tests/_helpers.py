@@ -1,8 +1,9 @@
 """Shared fixtures: random generators and hypothesis strategies,
-reference games, a naive Fraction-based elimination oracle kept
-independent of the package's fraction-free kernels, and brute-force
-Nash and potential checks that enumerate deviations through
-profile_index and expected_payoff, independent of GameSpace.lines."""
+reference games, naive Fraction-based product, elimination and
+back-substitution oracles kept independent of the package's integer
+kernels, and brute-force Nash and potential checks that enumerate
+deviations through profile_index and expected_payoff, independent of
+GameSpace.lines."""
 
 from __future__ import annotations
 
@@ -74,26 +75,57 @@ def symmetric_33(a, b, c, d, e, f, g, h, i) -> Game:
     )
 
 
-def naive_rank(m: Matrix) -> int:
-    """Plain Fraction Gaussian elimination; independent of the package kernels."""
-    rows = [list(r) for r in m.rows_iter()]
-    nrows, ncols = m.shape
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
+def _fraction_echelon(rows: list[list[Fraction]], pivot_width: int) -> list[int]:
+    """Plain Fraction row echelon form in place, pivots searched in the
+    first pivot_width columns; returns the pivot columns."""
+    pivots: list[int] = []
+    for c in range(pivot_width):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        lead = rows[r][c]
-        rows[r] = [x / lead for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
+        for i in range(r + 1, len(rows)):
+            f = rows[i][c] / rows[r][c]
+            if f:
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        r += 1
-        if r == nrows:
-            break
-    return r
+        pivots.append(c)
+    return pivots
+
+
+def naive_rank(m: Matrix) -> int:
+    """Plain Fraction Gaussian elimination; independent of the package kernels."""
+    return len(_fraction_echelon(m.to_lists(), m.ncols))
+
+
+def fraction_product(a: Matrix, b: Matrix) -> Matrix:
+    """a @ b with one Fraction operation per term: the reference product."""
+    cols = list(zip(*b.rows_iter()))
+    return Matrix(
+        [
+            [sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in cols]
+            for row in a.rows_iter()
+        ]
+    )
+
+
+def fraction_solve(a: Matrix, b: Matrix) -> Matrix | None:
+    """One solution of a @ X = b with the free variables zero, or None if
+    there is none, by Fraction elimination and back-substitution."""
+    rows = [list(ra) + list(rb) for ra, rb in zip(a.rows_iter(), b.rows_iter())]
+    n = a.ncols
+    pivots = _fraction_echelon(rows, n)
+    if any(x != 0 for row in rows[len(pivots) :] for x in row[n:]):
+        return None
+    solution = [[Fraction(0)] * b.ncols for _ in range(n)]
+    for back in range(len(pivots) - 1, -1, -1):
+        pc = pivots[back]
+        for t in range(b.ncols):
+            acc = rows[back][n + t]
+            for j in range(pc + 1, n):
+                acc -= rows[back][j] * solution[j][t]
+            solution[pc][t] = acc / rows[back][pc]
+    return Matrix(solution)
 
 
 def naive_consistent(a: Matrix, b: Matrix) -> bool:

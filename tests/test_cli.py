@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 
 from _helpers import random_game, rps_game, symmetric_222, symmetric_33
-from gamedecomp.cli import main
+from gamedecomp import cli
+from gamedecomp.cli import MAX_DENSE_CELLS, main
 from gamedecomp.games import Game, GameSpace, serialize_game
 
 
@@ -317,3 +318,80 @@ def test_output_is_deterministic(tmp_path, capsys):
     _, first, _ = run_cli(capsys, "decompose", path)
     _, second, _ = run_cli(capsys, "decompose", path)
     assert first == second
+
+
+def test_dense_paths_refuse_large_spaces(tmp_path, capsys, monkeypatch):
+    def no_build(space):
+        raise AssertionError("a refused space must not be built")
+
+    monkeypatch.setattr(cli, "build_projectors", no_build)
+    code, out, err = run_cli(capsys, "project", "--space", "2:16,17", "--kind", "potential")
+    assert code == 2
+    assert out == ""
+    assert f"at most {MAX_DENSE_CELLS} payoff cells" in err
+    big = Game.zero(GameSpace((2, 2, 2, 2, 2, 2, 2)))
+    assert big.space.payoff_cells > MAX_DENSE_CELLS
+    code, out, err = run_cli(capsys, "verify", write_game(tmp_path, big))
+    assert code == 2
+    assert out == ""
+    assert "896x896" in err
+    # matrix-free commands keep the cell cap
+    code, _, _ = run_cli(capsys, "nash", write_game(tmp_path, big))
+    assert code == 0
+
+
+def test_space_cap_message_is_cut(tmp_path, capsys):
+    path = tmp_path / "wide.json"
+    path.write_text(
+        json.dumps({"players": 4097, "strategies": [1] * 4097, "payoffs": []}),
+        encoding="utf-8",
+    )
+    code, out, err = run_cli(capsys, "nash", str(path))
+    assert code == 1
+    assert out == ""
+    assert "1,1,1" in err and "..." in err and "4097 payoff cells" in err
+    assert len(err) < 200
+
+
+def test_long_space_text_is_not_echoed_whole(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["project", "--kind", "harmonic", "--space", "2:" + "x" * 5000])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "'2:" + "x" * 38 + "'..." in err
+    assert "x" * 41 not in err and len(err) < 1000
+
+
+def test_unreadable_inputs_and_unprintable_results_fail_cleanly(tmp_path, capsys):
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"players": 1, "name": "\xe9", "strategies": [2], "payoffs": [[1, 0]]}')
+    long_int = tmp_path / "long_int.json"
+    long_int.write_text(
+        '{"players": 1, "strategies": [2], "payoffs": [[' + "9" * 5000 + ", 0]]}",
+        encoding="utf-8",
+    )
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000, encoding="utf-8")
+    for path in (latin1, long_int, deep):
+        code, out, err = run_cli(capsys, "classify", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: malformed document")
+    # 4,200-digit payoffs are accepted, but 1000 decimal digits of them
+    # make numbers CPython will not print
+    wide = Game(GameSpace((2,)), (("9" * 4200, 0),))
+    code, out, err = run_cli(capsys, "decompose", write_game(tmp_path, wide), "--decimal", "1000")
+    assert code == 1
+    assert out == ""
+    assert "too long to print" in err and len(err) < 200
+
+
+def test_internal_value_error_is_not_reported_as_bad_input(tmp_path, capsys, monkeypatch):
+    def broken(game):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr(cli, "decompose", broken)
+    path = write_game(tmp_path, rps_game())
+    with pytest.raises(ValueError, match="internal fault"):
+        main(["decompose", path])
+    assert capsys.readouterr().out == ""

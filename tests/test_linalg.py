@@ -4,8 +4,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from _helpers import naive_consistent, naive_rank, random_matrix
+from _helpers import (
+    PROPERTY,
+    fraction_product,
+    fraction_solve,
+    naive_consistent,
+    naive_rank,
+    random_matrix,
+)
 from gamedecomp.linalg import (
     Matrix,
     block_diag,
@@ -278,3 +287,88 @@ def test_block_composition_helpers():
         hstack([a, Matrix.ones(3, 1)])
     with pytest.raises(ValueError):
         vstack([a, Matrix.ones(1, 3)])
+
+
+# -- the integer kernels against plain Fraction references -----------------
+
+ENTRIES = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 30))
+SIDE = st.integers(1, 6)
+
+
+@st.composite
+def matrices(draw, nrows, ncols):
+    """Mixed, often coprime denominators, negative entries, zeroed rows and columns."""
+    row = st.lists(ENTRIES, min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(row, min_size=nrows, max_size=nrows))
+    zero_rows = draw(st.sets(st.integers(0, nrows - 1), max_size=1))
+    zero_cols = draw(st.sets(st.integers(0, ncols - 1), max_size=1))
+    return Matrix(
+        [
+            [0 if i in zero_rows or j in zero_cols else x for j, x in enumerate(row)]
+            for i, row in enumerate(rows)
+        ]
+    )
+
+
+@st.composite
+def low_rank(draw, nrows, ncols):
+    """A product of nrows x r and r x ncols factors, rank at most r (0 included)."""
+    r = draw(st.sampled_from(range(min(nrows, ncols), -1, -1)))
+    if r == 0:
+        return Matrix.zeros(nrows, ncols)
+    return fraction_product(draw(matrices(nrows, r)), draw(matrices(r, ncols)))
+
+
+@PROPERTY
+@given(st.data())
+def test_matmul_equals_fraction_product(data):
+    m, n, p = data.draw(SIDE), data.draw(SIDE), data.draw(SIDE)
+    a = data.draw(matrices(m, n))
+    b = data.draw(matrices(n, p))
+    product = a @ b
+    assert product == fraction_product(a, b)
+    assert all(type(x) is Fraction for row in product.rows_iter() for x in row)
+
+
+@PROPERTY
+@given(st.data())
+def test_solve_linear_equals_fraction_back_substitution(data):
+    m, n, p = data.draw(SIDE), data.draw(SIDE), data.draw(st.integers(1, 3))
+    a = data.draw(low_rank(m, n))
+    if data.draw(st.booleans()):
+        b = fraction_product(a, data.draw(matrices(n, p)))
+    else:
+        b = data.draw(matrices(m, p))  # often inconsistent
+    x = solve_linear(a, b)
+    assert x == fraction_solve(a, b)
+    assert (x is not None) == naive_consistent(a, b)
+    if x is not None:
+        assert fraction_product(a, x) == b
+        # a column adding nothing to the rank of those before it is free
+        ranks = [naive_rank(a.take_columns(range(j))) if j else 0 for j in range(n + 1)]
+        free = [j for j in range(n) if ranks[j + 1] == ranks[j]]
+        assert all(not any(x.row_tuple(j)) for j in free)
+
+
+def test_solve_all_zero_system():
+    assert solve_linear(Matrix.zeros(2, 3), Matrix.zeros(2, 2)) == Matrix.zeros(3, 2)
+    assert solve_linear(Matrix.zeros(2, 3), Matrix([[0], ["1/2"]])) is None
+
+
+@PROPERTY
+@given(st.data())
+def test_inverse_and_mp_inverse_on_low_rank(data):
+    m, n = data.draw(SIDE), data.draw(SIDE)
+    a = data.draw(low_rank(m, n))
+    p = mp_inverse(a)
+    # the four Penrose equations determine the inverse uniquely
+    ap, pa = fraction_product(a, p), fraction_product(p, a)
+    assert fraction_product(ap, a) == a
+    assert fraction_product(pa, p) == p
+    assert ap.is_symmetric() and pa.is_symmetric()
+    square = data.draw(low_rank(m, m))
+    if naive_rank(square) == m:
+        assert inverse(square) == fraction_solve(square, Matrix.identity(m))
+    else:
+        with pytest.raises(ValueError, match="singular"):
+            inverse(square)
