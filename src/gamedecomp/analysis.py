@@ -135,7 +135,7 @@ def harmonic_nash_kernel_dim(space: GameSpace, profile: Sequence[int]) -> int:
     identity_row = hstack([identity] * space.n)
     lift_block = block_diag([build_E(space, i).T for i in players])
     selector_block = block_diag(
-        [Matrix(identity.to_lists()[space.line(i, index)]) for i in players]
+        [Matrix.from_numerators(identity.numerators[space.line(i, index)], 1) for i in players]
     )
     stacked = vstack([identity_row, lift_block, selector_block])
     return space.payoff_cells - rank(stacked)

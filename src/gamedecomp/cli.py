@@ -54,8 +54,10 @@ TABLE_COMMANDS = ("project", "potential")
 MAX_DECIMAL_DIGITS = 1000
 # 2**14284 < 10**4300: CPython prints integers of up to 4300 digits
 MAX_PRINTED_BITS = 14_284
-# project and verify build dense nk x nk matrices: at 512 cells verify
-# takes minutes and project's output runs to megabytes
+# project and verify build dense nk x nk matrices.  One verify child
+# takes 0.6 s of CPU at 81 cells, 4.4 s at 192, 20 s at 324 and 114 s
+# (62 MB) at 512; project takes 0.6 s (73 MB) at 512 cells and its
+# output runs to megabytes
 MAX_DENSE_CELLS = 512
 
 

@@ -175,10 +175,11 @@ def solve_potential_equation(game: Game) -> PotentialFunction | None:
     solution = solve_linear(system, rhs)
     if solution is None:
         return None
+    column = solution.column_tuple(0)
     offsets = []
     start = 0
     for width in widths:
-        offsets.append(solution.column_tuple(0)[start : start + width])
+        offsets.append(column[start : start + width])
         start += width
     xi_1 = Matrix.column(offsets[0])
     phi = Matrix.column(game.payoff_rows[0]) - lifts[0] @ xi_1

@@ -1,74 +1,138 @@
 """Exact rational matrices and the linear algebra the decomposition rests on.
 
-All entries are `fractions.Fraction`, so every result in this module is
-exact: equality tests mean mathematical equality, and rank decisions
-never depend on a tolerance.  Floats are refused at construction time.
+A Matrix is stored as rows of integer numerators over one positive
+integer denominator, in canonical form: the denominator and all the
+numerators have no common factor, so the zero matrix has denominator
+1.  Two matrices are equal exactly when their denominators and
+numerators are, and every result in this module is exact: rank
+decisions never depend on a tolerance.  Entries read back as
+`fractions.Fraction`; floats and bools are refused at construction.
 
-The inner loops run on Python ints, not Fractions.  A product clears
-the denominators of the left rows and the right columns, takes integer
-dot products and builds one Fraction per entry.  One fraction-free
-(Bareiss) elimination kernel is behind rank, linear solving, inverses
-and the full-rank factorization of Moore-Penrose inverses; the solver
-back-substitutes for the determinant times the solution, which is
-integral, and divides once per entry at the end.  Group inverses come
-from the defining equation A@A@X = A.  The module also provides the
-Kronecker and semitensor products.
+Every operation runs on Python ints: a product takes integer dot
+products over the product of the denominators and reduces the result
+once, sums bring both operands to the least common denominator.  One
+fraction-free (Bareiss) elimination kernel works on the numerators and
+is behind rank, linear solving, inverses and the full-rank
+factorization of Moore-Penrose inverses; the solver back-substitutes
+for the determinant times the solution, which is integral, and divides
+by the determinant once, as the result's denominator.  Group inverses
+come from the defining equation A@A@X = A.  The module also provides
+the Kronecker and semitensor products.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import mul
+from itertools import chain
+from operator import add, itemgetter, mul, sub
 from typing import Iterable, Iterator, Sequence, Union
 
 Scalar = Union[int, Fraction]
+Rows = tuple[tuple[int, ...], ...]
+
+_ZERO = Fraction(0)
 
 
-def _entry(value: object) -> Fraction:
-    """Coerce one matrix entry to Fraction, refusing inexact types."""
-    if isinstance(value, Fraction):
-        return value
+def _entry(value: object) -> int | Fraction:
+    """Check one matrix entry, refusing inexact types; strings become Fractions."""
     if isinstance(value, bool):
         raise TypeError("matrix entries must be rational numbers, not bool")
-    if isinstance(value, int):
-        return Fraction(value)
+    if isinstance(value, (int, Fraction)):
+        return value
     if isinstance(value, str):
         return Fraction(value)
     raise TypeError(f"matrix entries must be exact rationals, got {type(value).__name__}")
 
 
-class Matrix:
-    """Immutable dense matrix over the rationals."""
+class _Entries(dict):
+    """Entry Fractions by numerator over one denominator, each made once."""
 
-    __slots__ = ("_rows", "_nrows", "_ncols")
+    def __init__(self, den: int):
+        super().__init__({0: _ZERO})
+        self.den = den
+
+    def __missing__(self, numerator: int) -> Fraction:
+        value = self[numerator] = Fraction(numerator, self.den)
+        return value
+
+
+class Matrix:
+    """Immutable dense matrix over the rationals: integer rows over one denominator."""
+
+    __slots__ = ("_num", "_den", "_nrows", "_ncols")
 
     def __init__(self, rows: Iterable[Iterable[object]]):
-        data = tuple(tuple(_entry(x) for x in row) for row in rows)
+        data = [[_entry(x) for x in row] for row in rows]
         if not data or not data[0]:
             raise ValueError("matrix must have at least one row and one column")
         width = len(data[0])
         if any(len(row) != width for row in data):
             raise ValueError("matrix rows must all have the same length")
-        self._rows = data
+        # over the least common denominator of reduced entries no prime
+        # divides every numerator, so this is already canonical
+        den = math.lcm(*(x.denominator for row in data for x in row))
+        self._num = tuple(
+            [tuple([x.numerator * (den // x.denominator) for x in row]) for row in data]
+        )
+        self._den = den
         self._nrows = len(data)
         self._ncols = width
+
+    @classmethod
+    def from_numerators(cls, rows: Iterable[Iterable[int]], denominator: int) -> "Matrix":
+        """The matrix rows / denominator, reduced to canonical form.
+
+        The numerators must be ints; they are not coerced.  When the
+        form is already canonical the given int objects are kept.
+        """
+        num = tuple(map(tuple, rows))
+        if any(len(row) != len(num[0]) for row in num):
+            raise ValueError("matrix rows must all have the same length")
+        if denominator == 0:
+            raise ZeroDivisionError("matrix denominator is zero")
+        return cls._reduced(num, denominator)
+
+    @classmethod
+    def _reduced(cls, num: Rows, den: int) -> "Matrix":
+        """num / den in canonical form: a positive denominator sharing no factor with num."""
+        g = den
+        for row in num:
+            if g == 1:
+                break
+            g = math.gcd(g, *row)
+        if den < 0:
+            g = -g
+        if g != 1:
+            num = tuple([tuple([x // g for x in row]) for row in num])
+            den //= g
+        return cls._canonical(num, den)
+
+    @classmethod
+    def _canonical(cls, num: Rows, den: int) -> "Matrix":
+        """Wrap rows and a denominator already in canonical form."""
+        if not num or not num[0]:
+            raise ValueError("matrix must have at least one row and one column")
+        m = object.__new__(cls)
+        m._num = num
+        m._den = den
+        m._nrows = len(num)
+        m._ncols = len(num[0])
+        return m
 
     # -- construction -------------------------------------------------
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls([[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
+        return cls._canonical(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), 1)
 
     @classmethod
     def zeros(cls, nrows: int, ncols: int) -> "Matrix":
-        zero = Fraction(0)
-        return cls([[zero] * ncols for _ in range(nrows)])
+        return cls._canonical(((0,) * ncols,) * nrows, 1)
 
     @classmethod
     def ones(cls, nrows: int, ncols: int) -> "Matrix":
-        one = Fraction(1)
-        return cls([[one] * ncols for _ in range(nrows)])
+        return cls._canonical(((1,) * ncols,) * nrows, 1)
 
     @classmethod
     def column(cls, entries: Sequence[object]) -> "Matrix":
@@ -83,7 +147,7 @@ class Matrix:
         """The index-th standard basis column of R^n, 1-based."""
         if not 1 <= index <= n:
             raise ValueError(f"basis index {index} out of range 1..{n}")
-        return cls([[Fraction(int(i + 1 == index))] for i in range(n)])
+        return cls._canonical(tuple((int(i + 1 == index),) for i in range(n)), 1)
 
     # -- shape and access ----------------------------------------------
 
@@ -99,58 +163,77 @@ class Matrix:
     def shape(self) -> tuple[int, int]:
         return self._nrows, self._ncols
 
+    @property
+    def denominator(self) -> int:
+        """The positive common denominator of the canonical form."""
+        return self._den
+
+    @property
+    def numerators(self) -> Rows:
+        """The int rows of the canonical form: entry (i, j) is numerators[i][j] / denominator."""
+        return self._num
+
     def __getitem__(self, key: tuple[int, int]) -> Fraction:
         i, j = key
-        return self._rows[i][j]
+        x = self._num[i][j]
+        return Fraction(x, self._den) if x else _ZERO
 
     def row_tuple(self, i: int) -> tuple[Fraction, ...]:
-        return self._rows[i]
+        return tuple(map(_Entries(self._den).__getitem__, self._num[i]))
 
     def column_tuple(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(row[j] for row in self._rows)
+        return tuple(map(_Entries(self._den).__getitem__, (row[j] for row in self._num)))
 
     def rows_iter(self) -> Iterator[tuple[Fraction, ...]]:
-        return iter(self._rows)
+        entry = _Entries(self._den).__getitem__
+        return (tuple(map(entry, row)) for row in self._num)
 
     def to_lists(self) -> list[list[Fraction]]:
-        return [list(row) for row in self._rows]
+        return [list(row) for row in self.rows_iter()]
 
     def take_columns(self, indices: Sequence[int]) -> "Matrix":
-        return Matrix([[row[j] for j in indices] for row in self._rows])
+        columns = tuple([tuple([row[j] for j in indices]) for row in self._num])
+        return Matrix._reduced(columns, self._den)
 
     # -- algebra -------------------------------------------------------
 
     @property
     def T(self) -> "Matrix":
-        return Matrix(zip(*self._rows))
+        return Matrix._canonical(tuple(zip(*self._num)), self._den)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Matrix):
             return NotImplemented
-        return self._rows == other._rows
+        return self._den == other._den and self._num == other._num
 
     def __hash__(self) -> int:
-        return hash(self._rows)
+        return hash((self._den, self._num))
 
     def __neg__(self) -> "Matrix":
-        return Matrix([[-x for x in row] for row in self._rows])
+        return Matrix._canonical(tuple([tuple([-x for x in row]) for row in self._num]), self._den)
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        self._check_same_shape(other)
-        return Matrix(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self._rows, other._rows)]
-        )
+        return self._entrywise(other, add)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        self._check_same_shape(other)
-        return Matrix(
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self._rows, other._rows)]
-        )
+        return self._entrywise(other, sub)
+
+    def _entrywise(self, other: "Matrix", op) -> "Matrix":
+        """op of the entries, over the least common denominator."""
+        if self.shape != other.shape:
+            raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
+        den = math.lcm(self._den, other._den)
+        rows = zip(_scaled(self, den), _scaled(other, den))
+        return Matrix._reduced(tuple([tuple(map(op, ra, rb)) for ra, rb in rows]), den)
 
     def __mul__(self, scalar: Scalar) -> "Matrix":
+        if isinstance(scalar, bool):
+            raise TypeError("matrix scalars must be rational numbers, not bool")
         if not isinstance(scalar, (int, Fraction)):
             return NotImplemented
-        return Matrix([[x * scalar for x in row] for row in self._rows])
+        p, q = scalar.numerator, scalar.denominator
+        scaled = tuple([tuple([x * p for x in row]) for row in self._num])
+        return Matrix._reduced(scaled, self._den * q)
 
     __rmul__ = __mul__
 
@@ -159,50 +242,53 @@ class Matrix:
             raise ValueError(
                 f"cannot multiply {self._nrows}x{self._ncols} by {other._nrows}x{other._ncols}"
             )
-        # Entry (r, c) is the integer dot product of row r and column c,
-        # each cleared of its denominators, over the product of their
-        # scales: one Fraction, hence one gcd, per entry, not per term.
-        rows, row_scales = _scaled_integer_rows(self._rows)
-        cols, col_scales = _scaled_integer_rows(list(zip(*other._rows)))
-        zero = Fraction(0)
+        # Entry (r, c) is the integer dot product of row r and column c
+        # over the product of the denominators, reduced once for the
+        # whole matrix.  The dot products skip the zeros of row r.
+        right = other._num
+        cols = list(zip(*right))
+        zero_row = (0,) * other._ncols
         out = []
-        for row, row_scale in zip(rows, row_scales):
+        for row in self._num:
             terms = [j for j, x in enumerate(row) if x]
-            values = [row[j] for j in terms]
-            dense = len(terms) == len(row)
-            out_row = []
-            for col, col_scale in zip(cols, col_scales):
-                total = sum(map(mul, values, col if dense else [col[j] for j in terms]))
-                out_row.append(Fraction(total, row_scale * col_scale) if total else zero)
-            out.append(out_row)
-        return Matrix(out)
+            if len(terms) == len(row):
+                out.append(tuple([sum(map(mul, row, col)) for col in cols]))
+            elif len(terms) > 1:
+                values = [row[j] for j in terms]
+                pick = itemgetter(*terms)
+                out.append(tuple([sum(map(mul, values, pick(col))) for col in cols]))
+            elif terms:
+                # one term: the product row is a multiple of one row of other
+                x = row[terms[0]]
+                out.append(tuple([x * y for y in right[terms[0]]]))
+            else:
+                out.append(zero_row)
+        return Matrix._reduced(tuple(out), self._den * other._den)
 
     def trace(self) -> Fraction:
         if self._nrows != self._ncols:
             raise ValueError("trace requires a square matrix")
-        return sum((self._rows[i][i] for i in range(self._nrows)), Fraction(0))
+        return Fraction(sum(row[i] for i, row in enumerate(self._num)), self._den)
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self._rows for x in row)
+        return not any(map(any, self._num))
 
     def is_symmetric(self) -> bool:
-        if self._nrows != self._ncols:
-            return False
-        return all(
-            self._rows[i][j] == self._rows[j][i]
-            for i in range(self._nrows)
-            for j in range(i + 1, self._ncols)
-        )
+        return self._nrows == self._ncols and tuple(zip(*self._num)) == self._num
 
     def __repr__(self) -> str:
         if self._nrows * self._ncols <= 36:
-            body = "; ".join(" ".join(str(x) for x in row) for row in self._rows)
+            body = "; ".join(" ".join(str(x) for x in row) for row in self.rows_iter())
             return f"Matrix({self._nrows}x{self._ncols}: {body})"
         return f"Matrix({self._nrows}x{self._ncols})"
 
-    def _check_same_shape(self, other: "Matrix") -> None:
-        if self.shape != other.shape:
-            raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
+
+def _scaled(m: Matrix, den: int) -> Rows:
+    """m's numerator rows over den, a multiple of m's denominator."""
+    scale = den // m.denominator
+    if scale == 1:
+        return m.numerators
+    return tuple([tuple([x * scale for x in row]) for row in m.numerators])
 
 
 # -- block composition ------------------------------------------------
@@ -215,9 +301,9 @@ def hstack(blocks: Sequence[Matrix]) -> Matrix:
     nrows = blocks[0].nrows
     if any(b.nrows != nrows for b in blocks):
         raise ValueError("hstack blocks must share their row count")
-    return Matrix(
-        [sum((list(b.row_tuple(i)) for b in blocks), []) for i in range(nrows)]
-    )
+    den = math.lcm(*(b.denominator for b in blocks))
+    parts = zip(*(_scaled(b, den) for b in blocks))
+    return Matrix._reduced(tuple(tuple(chain.from_iterable(rows)) for rows in parts), den)
 
 
 def vstack(blocks: Sequence[Matrix]) -> Matrix:
@@ -227,24 +313,23 @@ def vstack(blocks: Sequence[Matrix]) -> Matrix:
     ncols = blocks[0].ncols
     if any(b.ncols != ncols for b in blocks):
         raise ValueError("vstack blocks must share their column count")
-    return Matrix([row for b in blocks for row in b.rows_iter()])
+    den = math.lcm(*(b.denominator for b in blocks))
+    return Matrix._reduced(tuple(chain.from_iterable(_scaled(b, den) for b in blocks)), den)
 
 
 def block_diag(blocks: Sequence[Matrix]) -> Matrix:
     """Direct sum of the given blocks."""
     if not blocks:
         raise ValueError("block_diag needs at least one block")
-    total_rows = sum(b.nrows for b in blocks)
     total_cols = sum(b.ncols for b in blocks)
-    zero = Fraction(0)
-    out = [[zero] * total_cols for _ in range(total_rows)]
-    r0 = c0 = 0
+    den = math.lcm(*(b.denominator for b in blocks))
+    out = []
+    c0 = 0
     for b in blocks:
-        for i, row in enumerate(b.rows_iter()):
-            out[r0 + i][c0 : c0 + b.ncols] = list(row)
-        r0 += b.nrows
+        before, after = (0,) * c0, (0,) * (total_cols - c0 - b.ncols)
+        out.extend(before + row + after for row in _scaled(b, den))
         c0 += b.ncols
-    return Matrix(out)
+    return Matrix._reduced(tuple(out), den)
 
 
 # -- products ----------------------------------------------------------
@@ -252,18 +337,15 @@ def block_diag(blocks: Sequence[Matrix]) -> Matrix:
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product a (x) b."""
-    zero = Fraction(0)
+    zeros = (0,) * b.ncols
     out = []
-    for ra in a.rows_iter():
-        for rb in b.rows_iter():
-            row = []
+    for ra in a.numerators:
+        for rb in b.numerators:
+            row: list[int] = []
             for x in ra:
-                if x == 0:
-                    row.extend([zero] * len(rb))
-                else:
-                    row.extend(x * y for y in rb)
-            out.append(row)
-    return Matrix(out)
+                row.extend([x * y for y in rb] if x else zeros)
+            out.append(tuple(row))
+    return Matrix._reduced(tuple(out), a.denominator * b.denominator)
 
 
 def stp(a: Matrix, b: Matrix) -> Matrix:
@@ -281,23 +363,6 @@ def stp(a: Matrix, b: Matrix) -> Matrix:
 
 
 # -- elimination -------------------------------------------------------
-
-
-def _scaled_integer_rows(
-    rows: Sequence[Sequence[Fraction]],
-) -> tuple[list[list[int]], list[int]]:
-    """Clear denominators row by row; preserves row space and solutions.
-
-    Returns the integer rows and each row's scale, the least common
-    multiple of its denominators, so that row = integer row / scale.
-    """
-    out = []
-    scales = []
-    for row in rows:
-        scale = math.lcm(*(x.denominator for x in row)) if row else 1
-        out.append([x.numerator * (scale // x.denominator) for x in row])
-        scales.append(scale)
-    return out, scales
 
 
 def _bareiss_echelon(rows: list[list[int]], pivot_width: int) -> tuple[list[list[int]], list[int]]:
@@ -342,7 +407,7 @@ def _bareiss_echelon(rows: list[list[int]], pivot_width: int) -> tuple[list[list
 
 def _pivot_columns(a: Matrix) -> list[int]:
     """Pivot columns of a's row echelon form, in order."""
-    return _bareiss_echelon(_scaled_integer_rows(a.to_lists())[0], a.ncols)[1]
+    return _bareiss_echelon([list(row) for row in a.numerators], a.ncols)[1]
 
 
 def rank(a: Matrix) -> int:
@@ -359,15 +424,22 @@ def solve_linear(a: Matrix, b: Matrix) -> Matrix | None:
     """
     if a.nrows != b.nrows:
         raise ValueError(f"incompatible shapes {a.shape} and {b.shape}")
-    augmented = [list(ra) + list(rb) for ra, rb in zip(a.rows_iter(), b.rows_iter())]
-    rows, pivots = _bareiss_echelon(_scaled_integer_rows(augmented)[0], a.ncols)
+    # a = A/da and b = B/db, so over L = lcm(da, db) a @ X = b is
+    # (A*(L/da)) @ X = B*(L/db), a system in ints
+    common = math.lcm(a.denominator, b.denominator)
+    sa, sb = common // a.denominator, common // b.denominator
+    augmented = [
+        [x * sa for x in ra] + [x * sb for x in rb] for ra, rb in zip(a.numerators, b.numerators)
+    ]
+    rows, pivots = _bareiss_echelon(augmented, a.ncols)
     nsolved = len(pivots)
     for i in range(nsolved, len(rows)):
         if any(rows[i][a.ncols + t] != 0 for t in range(b.ncols)):
             return None
     # The last Bareiss pivot is the determinant of the pivot subsystem,
     # so by Cramer's rule y = det * x is integral and every division in
-    # the back-substitution for y is exact.
+    # the back-substitution for y is exact; x = y / det is then reduced
+    # once, which also makes its denominator positive.
     det = rows[nsolved - 1][pivots[-1]] if pivots else 1
     y = [[0] * b.ncols for _ in range(a.ncols)]
     for back in range(nsolved - 1, -1, -1):
@@ -377,8 +449,7 @@ def solve_linear(a: Matrix, b: Matrix) -> Matrix | None:
             (det * row[a.ncols + t] - sum([y_j[t] * u for y_j, u in later])) // row[pc]
             for t in range(b.ncols)
         ]
-    zero = Fraction(0)
-    return Matrix([[Fraction(v, det) if v else zero for v in y_row] for y_row in y])
+    return Matrix._reduced(tuple(map(tuple, y)), det)
 
 
 def inverse(a: Matrix) -> Matrix:

@@ -11,12 +11,13 @@ apply_element() applies an Element to one payoff row by chaining
 along-axis means over GameSpace.lines, with no matrix; decompose.py uses
 only that.  _densify_blocks() writes the dense matrix, whose entry
 (p, q) is the sum of c_S / k_S over the S containing the players on
-which p and q differ, so each block holds at most 2^n shared values;
-its bit masks index profiles on their own, not through lines.  The
-dense ProjectorSet serves `project` and the oracles; so do the
-Kronecker-built structural matrices E_i, e_i, B_N, B_P and P_N, and a
-second route to X that solves its definition.  Nothing is cached: a
-bundle is built on each call.
+which p and q differ, so each block holds at most 2^n shared values,
+written as int numerators over one denominator; its bit masks index
+profiles on their own, not through lines.  The dense ProjectorSet
+serves `project` and the oracles; so do the Kronecker-built structural
+matrices E_i, e_i, B_N, B_P and P_N, and a second route to X that
+solves its definition.  Nothing is cached: a bundle is built on each
+call.
 """
 
 from __future__ import annotations
@@ -182,18 +183,28 @@ def _entry_values(space: GameSpace, element: Element) -> list[Fraction]:
 def _densify_blocks(space: GameSpace, blocks: Sequence[Sequence[Element]]) -> Matrix:
     """The block matrix whose (i, j) block is the dense k x k form of blocks[i][j].
 
-    masks[p][q] has bit i-1 set iff profiles p and q differ on player i;
-    the entries of a block that share a mask share one value object.
+    masks[p][q] has bit i-1 set iff profiles p and q differ on player i.
+    Every block value becomes an int numerator over the least common
+    denominator of all of them, so the rows are written in canonical
+    form, and the entries of a block that share a mask share one int.
     """
     masks = [[0]]
     for i, count in enumerate(space.strategy_counts):
         axis = range(count)
         masks = [[m | (x != y) << i for m in row for y in axis] for row in masks for x in axis]
     tables = [[_entry_values(space, element) for element in row] for row in blocks]
-    return Matrix(
-        [values[m] for values in table_row for m in mask_row]
-        for table_row in tables
-        for mask_row in masks
+    den = math.lcm(*(v.denominator for row in tables for values in row for v in values))
+    numerators = [
+        [[v.numerator * (den // v.denominator) for v in values] for values in row]
+        for row in tables
+    ]
+    return Matrix.from_numerators(
+        (
+            [values[m] for values in table_row for m in mask_row]
+            for table_row in numerators
+            for mask_row in masks
+        ),
+        den,
     )
 
 

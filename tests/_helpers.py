@@ -1,9 +1,9 @@
 """Shared fixtures: random generators and hypothesis strategies,
-reference games, naive Fraction-based product, elimination and
-back-substitution oracles kept independent of the package's integer
-kernels, and brute-force Nash and potential checks that enumerate
-deviations through profile_index and expected_payoff, independent of
-GameSpace.lines."""
+reference games, naive Fraction-based product, entrywise, stacking,
+elimination and back-substitution oracles kept independent of the
+package's integer kernels, and brute-force Nash and potential checks
+that enumerate deviations through profile_index and expected_payoff,
+independent of GameSpace.lines."""
 
 from __future__ import annotations
 
@@ -106,6 +106,71 @@ def fraction_product(a: Matrix, b: Matrix) -> Matrix:
             [sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in cols]
             for row in a.rows_iter()
         ]
+    )
+
+
+# -- Fraction-entry oracles: lists of Fraction rows in, lists out ----------
+
+
+def fraction_sum(a: list[list[Fraction]], b: list[list[Fraction]]) -> list[list[Fraction]]:
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def fraction_difference(a: list[list[Fraction]], b: list[list[Fraction]]) -> list[list[Fraction]]:
+    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def fraction_negation(a: list[list[Fraction]]) -> list[list[Fraction]]:
+    return [[-x for x in row] for row in a]
+
+
+def fraction_scaled(a: list[list[Fraction]], scalar) -> list[list[Fraction]]:
+    return [[x * scalar for x in row] for row in a]
+
+
+def fraction_kron(a: list[list[Fraction]], b: list[list[Fraction]]) -> list[list[Fraction]]:
+    return [[x * y for x in ra for y in rb] for ra in a for rb in b]
+
+
+def fraction_transpose(a: list[list[Fraction]]) -> list[list[Fraction]]:
+    return [[row[j] for row in a] for j in range(len(a[0]))]
+
+
+def fraction_columns(a: list[list[Fraction]], indices) -> list[list[Fraction]]:
+    return [[row[j] for j in indices] for row in a]
+
+
+def fraction_hstack(blocks: list[list[list[Fraction]]]) -> list[list[Fraction]]:
+    return [[x for block in blocks for x in block[i]] for i in range(len(blocks[0]))]
+
+
+def fraction_vstack(blocks: list[list[list[Fraction]]]) -> list[list[Fraction]]:
+    return [list(row) for block in blocks for row in block]
+
+
+def fraction_block_diag(blocks: list[list[list[Fraction]]]) -> list[list[Fraction]]:
+    width = sum(len(block[0]) for block in blocks)
+    out = []
+    start = 0
+    for block in blocks:
+        after = width - start - len(block[0])
+        out.extend([Fraction(0)] * start + list(row) + [Fraction(0)] * after for row in block)
+        start += len(block[0])
+    return out
+
+
+def fraction_trace(a: list[list[Fraction]]) -> Fraction:
+    return sum((a[i][i] for i in range(len(a))), Fraction(0))
+
+
+def fraction_is_zero(a: list[list[Fraction]]) -> bool:
+    return all(x == 0 for row in a for x in row)
+
+
+def fraction_is_symmetric(a: list[list[Fraction]]) -> bool:
+    n = len(a)
+    return all(len(row) == n for row in a) and all(
+        a[i][j] == a[j][i] for i in range(n) for j in range(n)
     )
 
 

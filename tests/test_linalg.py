@@ -1,5 +1,6 @@
 """Exact linear algebra: products, solving, rank, generalized inverses."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -9,14 +10,28 @@ from hypothesis import strategies as st
 
 from _helpers import (
     PROPERTY,
+    fraction_block_diag,
+    fraction_columns,
+    fraction_difference,
+    fraction_hstack,
+    fraction_is_symmetric,
+    fraction_is_zero,
+    fraction_kron,
+    fraction_negation,
     fraction_product,
+    fraction_scaled,
     fraction_solve,
+    fraction_sum,
+    fraction_trace,
+    fraction_transpose,
+    fraction_vstack,
     naive_consistent,
     naive_rank,
     random_matrix,
 )
 from gamedecomp.linalg import (
     Matrix,
+    _bareiss_echelon,
     block_diag,
     group_inverse_via_solve,
     hstack,
@@ -296,18 +311,21 @@ SIDE = st.integers(1, 6)
 
 
 @st.composite
-def matrices(draw, nrows, ncols):
-    """Mixed, often coprime denominators, negative entries, zeroed rows and columns."""
+def entry_rows(draw, nrows, ncols):
+    """Fraction rows: mixed, often coprime denominators, negative entries,
+    zeroed rows and columns."""
     row = st.lists(ENTRIES, min_size=ncols, max_size=ncols)
     rows = draw(st.lists(row, min_size=nrows, max_size=nrows))
     zero_rows = draw(st.sets(st.integers(0, nrows - 1), max_size=1))
     zero_cols = draw(st.sets(st.integers(0, ncols - 1), max_size=1))
-    return Matrix(
-        [
-            [0 if i in zero_rows or j in zero_cols else x for j, x in enumerate(row)]
-            for i, row in enumerate(rows)
-        ]
-    )
+    return [
+        [Fraction(0) if i in zero_rows or j in zero_cols else x for j, x in enumerate(row)]
+        for i, row in enumerate(rows)
+    ]
+
+
+def matrices(nrows, ncols):
+    return entry_rows(nrows, ncols).map(Matrix)
 
 
 @st.composite
@@ -372,3 +390,151 @@ def test_inverse_and_mp_inverse_on_low_rank(data):
     else:
         with pytest.raises(ValueError, match="singular"):
             inverse(square)
+
+
+# -- integer-numerator storage against Fraction-entry oracles ---------------
+
+SCALARS = st.one_of(st.integers(-6, 6), ENTRIES)
+
+
+def assert_canonical(m: Matrix) -> None:
+    """Int numerators over a positive denominator sharing no factor with them."""
+    flat = [x for row in m.numerators for x in row]
+    assert all(type(x) is int for x in flat) and type(m.denominator) is int
+    assert m.denominator > 0
+    assert math.gcd(m.denominator, *flat) == 1
+    assert len(m.numerators) == m.nrows and all(len(row) == m.ncols for row in m.numerators)
+
+
+def assert_equals_oracle(m: Matrix, expected: list[list[Fraction]]) -> None:
+    assert_canonical(m)
+    assert m.to_lists() == expected
+    assert [[m[i, j] for j in range(m.ncols)] for i in range(m.nrows)] == expected
+    assert all(type(x) is Fraction for row in m.rows_iter() for x in row)
+
+
+@PROPERTY
+@given(st.data())
+def test_entrywise_operations_equal_fraction_oracles(data):
+    m, n = data.draw(SIDE), data.draw(SIDE)
+    ra, rb = data.draw(entry_rows(m, n)), data.draw(entry_rows(m, n))
+    scalar = data.draw(SCALARS)
+    a, b = Matrix(ra), Matrix(rb)
+    assert_equals_oracle(a, ra)
+    assert_equals_oracle(a + b, fraction_sum(ra, rb))
+    assert_equals_oracle(a - b, fraction_difference(ra, rb))
+    assert_equals_oracle(a - a, fraction_difference(ra, ra))
+    assert_equals_oracle(-a, fraction_negation(ra))
+    assert_equals_oracle(a * scalar, fraction_scaled(ra, scalar))
+    assert_equals_oracle(scalar * a, fraction_scaled(ra, scalar))
+    assert_equals_oracle(a.T, fraction_transpose(ra))
+    indices = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=6))
+    assert_equals_oracle(a.take_columns(indices), fraction_columns(ra, indices))
+
+
+@PROPERTY
+@given(st.data())
+def test_kron_equals_fraction_oracle(data):
+    ra = data.draw(entry_rows(data.draw(SIDE), data.draw(SIDE)))
+    rb = data.draw(entry_rows(data.draw(SIDE), data.draw(SIDE)))
+    assert_equals_oracle(kron(Matrix(ra), Matrix(rb)), fraction_kron(ra, rb))
+
+
+@PROPERTY
+@given(st.data())
+def test_stackers_equal_fraction_oracles(data):
+    count = data.draw(st.integers(1, 3))
+    m, n = data.draw(SIDE), data.draw(SIDE)
+    side_by_side = [data.draw(entry_rows(m, data.draw(SIDE))) for _ in range(count)]
+    on_top = [data.draw(entry_rows(data.draw(SIDE), n)) for _ in range(count)]
+    diagonal = [data.draw(entry_rows(data.draw(SIDE), data.draw(SIDE))) for _ in range(count)]
+    assert_equals_oracle(hstack([Matrix(r) for r in side_by_side]), fraction_hstack(side_by_side))
+    assert_equals_oracle(vstack([Matrix(r) for r in on_top]), fraction_vstack(on_top))
+    assert_equals_oracle(block_diag([Matrix(r) for r in diagonal]), fraction_block_diag(diagonal))
+
+
+@PROPERTY
+@given(st.data())
+def test_predicates_and_trace_equal_fraction_oracles(data):
+    n = data.draw(SIDE)
+    rows = data.draw(entry_rows(n, data.draw(st.sampled_from([n, data.draw(SIDE)]))))
+    shape = data.draw(st.sampled_from(["as drawn", "symmetric", "zero"]))
+    if shape == "symmetric" and len(rows[0]) == n:
+        rows = fraction_sum(rows, fraction_transpose(rows))
+    elif shape == "zero":
+        rows = [[Fraction(0)] * len(rows[0]) for _ in rows]
+    a = Matrix(rows)
+    assert a.is_zero() == fraction_is_zero(rows)
+    assert a.is_symmetric() == fraction_is_symmetric(rows)
+    if len(rows[0]) == n:
+        assert a.trace() == fraction_trace(rows)
+        assert type(a.trace()) is Fraction
+    else:
+        with pytest.raises(ValueError):
+            a.trace()
+
+
+@PROPERTY
+@given(st.data())
+def test_equal_rationals_give_equal_matrices_at_any_scale(data):
+    m, n = data.draw(SIDE), data.draw(SIDE)
+    rows = data.draw(entry_rows(m, n))
+    a = Matrix(rows)
+    scale = data.draw(st.integers(1, 10**6)) * data.draw(st.sampled_from([1, -1]))
+    scaled = [[x * a.denominator * scale for x in row] for row in rows]
+    assert all(x.denominator == 1 for row in scaled for x in row)
+    b = Matrix.from_numerators([[int(x) for x in row] for row in scaled], a.denominator * scale)
+    assert b == a and hash(b) == hash(a)
+    assert (b.denominator, b.numerators) == (a.denominator, a.numerators)
+    assert Matrix([[str(x) for x in row] for row in rows]) == a
+
+
+def test_canonical_form_examples():
+    half = Matrix([[Fraction(2, 4)]])
+    assert half == Matrix([["1/2"]]) and hash(half) == hash(Matrix([["1/2"]]))
+    assert (half.denominator, half.numerators) == (2, ((1,),))
+    zero = Matrix([[Fraction(0, 7)] * 2] * 2)
+    assert zero == Matrix.zeros(2, 2) and hash(zero) == hash(Matrix.zeros(2, 2))
+    assert zero.denominator == 1
+    assert Matrix([["1/3", "2/3"]]) * 3 == Matrix([[1, 2]])
+    assert (Matrix([["1/3"]]) * 3).denominator == 1
+    assert (Matrix([["1/2"]]) * 0).denominator == 1
+    assert Matrix.from_numerators([[1, -2]], -3) == Matrix([["-1/3", "2/3"]])
+    assert Matrix.from_numerators([[1, -2]], -3).denominator == 3
+    assert Matrix([["1/2", 1]]).take_columns([1]).denominator == 1
+
+
+def test_entries_read_back_as_fractions_with_one_shared_zero():
+    m = Matrix([[0, "1/2", 0], [3, 0, "1/2"]])
+    zeros = [x for row in m.rows_iter() for x in row if x == 0]
+    assert len({id(x) for x in zeros}) == 1
+    assert m[0, 0] is m[1, 1] is m.row_tuple(0)[2] is m.column_tuple(0)[0]
+    assert m.to_lists() == [[0, Fraction(1, 2), 0], [3, 0, Fraction(1, 2)]]
+
+
+def test_from_numerators_checks_shape_and_denominator():
+    with pytest.raises(ValueError):
+        Matrix.from_numerators([[1, 2], [3]], 1)
+    with pytest.raises(ValueError):
+        Matrix.from_numerators([], 1)
+    with pytest.raises(ZeroDivisionError):
+        Matrix.from_numerators([[1]], 0)
+
+
+def test_solve_with_negative_last_pivot_has_positive_denominator():
+    a = Matrix([[1, 3], [1, 1]])
+    rows, pivots = _bareiss_echelon([list(row) for row in a.numerators], a.ncols)
+    assert rows[len(pivots) - 1][pivots[-1]] < 0
+    x = solve_linear(a, Matrix([[1], [0]]))
+    assert x == Matrix([["-1/2"], ["1/2"]])
+    assert_canonical(x)
+    assert x == fraction_solve(a, Matrix([[1], [0]]))
+
+
+def test_bool_scalars_refused():
+    with pytest.raises(TypeError):
+        Matrix.identity(2) * True
+    with pytest.raises(TypeError):
+        False * Matrix.identity(2)
+    with pytest.raises(TypeError):
+        Matrix.identity(2) * 0.5

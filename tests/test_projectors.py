@@ -222,11 +222,12 @@ def test_nonstrategic_projection_is_averaging_blockdiag():
 
 
 def test_bundle_entries_share_block_values():
-    # at most one value object per block and set of players two profiles differ on
+    # at most one stored numerator object per block and set of players two
+    # profiles differ on
     space = GameSpace((4, 4, 4))
     bundle = build_projectors(space)
     matrices = [bundle.group_inverse] + [bundle.projection(kind) for kind in SubspaceKind]
-    objects = {id(x) for m in matrices for row in m.rows_iter() for x in row}
+    objects = {id(x) for m in matrices for row in m.numerators for x in row}
     assert len(objects) <= (5 * space.n**2 + 1) * 2**space.n
 
 
