@@ -21,7 +21,6 @@ from gamedecomp import analysis
 from gamedecomp.decompose import (
     decompose,
     differs_by_constant,
-    is_member,
     nonstrategic_component_direct,
     potential_function,
     raw_potential_vector,
@@ -206,9 +205,8 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 
 def _cmd_classify(args: argparse.Namespace) -> int:
     game = _load_game(args)
-    memberships = {
-        kind.value: is_member(game, kind) for kind in SubspaceKind
-    }
+    parts = decompose(game)
+    memberships = {kind.value: parts.is_member(kind) for kind in SubspaceKind}
     checks = {
         "nonstrategic": analysis.check_nonstrategic_defn(game),
         "pure-harmonic": analysis.check_pure_harmonic_defn(game),
@@ -363,10 +361,10 @@ def _verification_checks(game: Game) -> list[tuple[str, bool]]:
         ),
         (
             "definitional_checks_agree",
-            analysis.check_nonstrategic_defn(game) == is_member(game, SubspaceKind.NONSTRATEGIC)
+            analysis.check_nonstrategic_defn(game) == parts_g.is_member(SubspaceKind.NONSTRATEGIC)
             and analysis.check_pure_harmonic_defn(game)
-            == is_member(game, SubspaceKind.PURE_HARMONIC)
-            and analysis.check_harmonic_defn(game) == is_member(game, SubspaceKind.HARMONIC),
+            == parts_g.is_member(SubspaceKind.PURE_HARMONIC)
+            and analysis.check_harmonic_defn(game) == parts_g.is_member(SubspaceKind.HARMONIC),
         ),
         (
             "potential_routes_agree",

@@ -25,8 +25,15 @@ from gamedecomp.projectors import (
     average,
     axis_means,
     build_E,
-    closed_form_coefficients,
+    group_inverse_element,
 )
+
+
+# the parts that span each canonical subspace
+_PARTS = {kind: (kind.name.lower(),) for kind in SubspaceKind} | {
+    SubspaceKind.POTENTIAL: ("pure_potential", "nonstrategic"),
+    SubspaceKind.HARMONIC: ("nonstrategic", "pure_harmonic"),
+}
 
 
 @dataclass(frozen=True)
@@ -42,11 +49,13 @@ class Decomposition:
 
     def projection(self, kind: SubspaceKind) -> Game:
         """The game's projection onto a canonical subspace."""
-        if kind is SubspaceKind.POTENTIAL:
-            return self.pure_potential + self.nonstrategic
-        if kind is SubspaceKind.HARMONIC:
-            return self.nonstrategic + self.pure_harmonic
-        return getattr(self, kind.name.lower())
+        first, *rest = (getattr(self, name) for name in _PARTS[kind])
+        return sum(rest, first)
+
+    def is_member(self, kind: SubspaceKind) -> bool:
+        """Whether the game lies in a canonical subspace: its parts outside it are zero."""
+        outside = {"pure_potential", "nonstrategic", "pure_harmonic"} - set(_PARTS[kind])
+        return not any(any(row) for name in outside for row in getattr(self, name).payoff_rows)
 
 
 @dataclass(frozen=True)
@@ -83,11 +92,11 @@ def _nonstrategic_rows(game: Game) -> list[list[Fraction]]:
 def _potential_vector(game: Game, nonstrategic: list[list[Fraction]]) -> list[Fraction]:
     """phi = X sum_i (u_i - M_i u_i), given the M_i u_i."""
     lifted = [sum(u) - sum(m) for u, m in zip(zip(*game.payoff_rows), zip(*nonstrategic))]
-    return apply_element(game.space, closed_form_coefficients(game.space.n), lifted)
+    return apply_element(game.space, group_inverse_element(game.space), lifted)
 
 
-def decompose(game: Game) -> Decomposition:
-    """Split a game into pure potential, nonstrategic, and pure harmonic parts."""
+def _split(game: Game) -> tuple[Decomposition, list[Fraction]]:
+    """The game's decomposition, and the vector phi its pure potential part comes from."""
     space = game.space
     nonstrategic = _nonstrategic_rows(game)
     phi = _potential_vector(game, nonstrategic)
@@ -102,12 +111,17 @@ def decompose(game: Game) -> Decomposition:
         pure_potential=Game(space, pure_potential),
         nonstrategic=Game(space, nonstrategic),
         pure_harmonic=Game(space, pure_harmonic),
-    )
+    ), phi
+
+
+def decompose(game: Game) -> Decomposition:
+    """Split a game into pure potential, nonstrategic, and pure harmonic parts."""
+    return _split(game)[0]
 
 
 def is_member(game: Game, kind: SubspaceKind) -> bool:
     """Whether the game lies in a canonical subspace: its projection is itself."""
-    return decompose(game).projection(kind) == game
+    return decompose(game).is_member(kind)
 
 
 def raw_potential_vector(game: Game) -> tuple[Fraction, ...]:
@@ -127,15 +141,14 @@ def potential_function(game: Game) -> PotentialFunction | None:
     player i's offsets are the means of u_i - phi along i's own axis,
     one per profile of the other players.
     """
-    if not is_member(game, SubspaceKind.POTENTIAL):
+    parts, phi = _split(game)
+    if not parts.is_member(SubspaceKind.POTENTIAL):
         return None
-    space = game.space
-    values = raw_potential_vector(game)
     offsets = tuple(
-        tuple(axis_means(space, [u - p for u, p in zip(row, values)], i))
+        tuple(axis_means(game.space, [u - p for u, p in zip(row, phi)], i))
         for i, row in enumerate(game.payoff_rows, start=1)
     )
-    return PotentialFunction(values=values, player_offsets=offsets)
+    return PotentialFunction(values=tuple(phi), player_offsets=offsets)
 
 
 def solve_potential_equation(game: Game) -> PotentialFunction | None:

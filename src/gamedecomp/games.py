@@ -21,10 +21,11 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 from typing import Iterator, Sequence
 
 from gamedecomp.linalg import Matrix
@@ -113,6 +114,9 @@ class GameSpace:
 
     strategy_counts: tuple[int, ...]
     cell_cap: int = field(default=DEFAULT_CELL_CAP, compare=False, repr=False)
+    # derived once: the profile count, and each player's index stride
+    k: int = field(init=False, compare=False, repr=False)
+    _strides: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         counts = tuple(self.strategy_counts)
@@ -121,6 +125,9 @@ class GameSpace:
             raise ValueError("a game space needs at least one player")
         if any(not isinstance(c, int) or isinstance(c, bool) or c < 1 for c in counts):
             raise ValueError(f"strategy counts must be integers >= 1, got {_cut(repr(counts))}")
+        strides = tuple(accumulate(reversed(counts[1:]), operator.mul, initial=1))[::-1]
+        object.__setattr__(self, "_strides", strides)
+        object.__setattr__(self, "k", strides[0] * counts[0])
         cells = self.n * self.k
         if cells > self.cell_cap:
             # huge strategy counts can give a cell count too long for
@@ -136,11 +143,6 @@ class GameSpace:
     def n(self) -> int:
         """Number of players."""
         return len(self.strategy_counts)
-
-    @property
-    def k(self) -> int:
-        """Number of pure strategy profiles."""
-        return math.prod(self.strategy_counts)
 
     @property
     def payoff_cells(self) -> int:
@@ -174,10 +176,7 @@ class GameSpace:
         of the profile with player 1 as the most significant digit.
         """
         s = self.check_profile(profile)
-        index = 0
-        for i, choice in enumerate(s, start=1):
-            index += (choice - 1) * self.k_between(i + 1, self.n)
-        return index + 1
+        return 1 + sum((choice - 1) * stride for choice, stride in zip(s, self._strides))
 
     def index_profile(self, index: int) -> tuple[int, ...]:
         """Inverse of profile_index."""
@@ -185,10 +184,9 @@ class GameSpace:
             raise ValueError(f"profile index {index} out of range 1..{self.k}")
         rem = index - 1
         digits = []
-        for i in range(1, self.n + 1):
-            base = self.k_between(i + 1, self.n)
-            digits.append(rem // base + 1)
-            rem %= base
+        for stride in self._strides:
+            digits.append(rem // stride + 1)
+            rem %= stride
         return tuple(digits)
 
     def lines(self, player: int) -> list[slice]:
@@ -216,7 +214,7 @@ class GameSpace:
         """Index stride of player's choice, and the span of one sweep of it."""
         if not 1 <= player <= self.n:
             raise ValueError(f"player {player} out of range 1..{self.n}")
-        stride = self.k_between(player + 1, self.n)
+        stride = self._strides[player - 1]
         return stride, stride * self.strategy_counts[player - 1]
 
 

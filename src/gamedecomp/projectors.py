@@ -3,21 +3,22 @@
 The payoff space of a signature [n; k_1..k_n] splits orthogonally into
 pure potential, nonstrategic and pure harmonic parts.  The operators of
 the split lie in the commutative algebra of the averaging operators
-M_i = e_i/k_i, where M_S = prod_{i in S} M_i gives M_S @ M_T = M_{S|T}.
-An Element {frozenset S: c_S} stands for sum_S c_S M_S; the group
-inverse X of sum_i (I - M_i) and each k x k projection block are one.
+M_i = e_i/k_i.  An Element {frozenset S: c_S} stands for sum_S c_S M_S,
+M_S = prod_{i in S} M_i; apply_element() applies one to a payoff row by
+chaining along-axis means over GameSpace.lines, with no matrix, and
+decompose.py uses only that.
 
-apply_element() applies an Element to one payoff row by chaining
-along-axis means over GameSpace.lines, with no matrix; decompose.py uses
-only that.  _densify_blocks() writes the dense matrix, whose entry
-(p, q) is the sum of c_S / k_S over the S containing the players on
-which p and q differ, so each block holds at most 2^n shared values,
-written as int numerators over one denominator; its bit masks index
-profiles on their own, not through lines.  The dense ProjectorSet
-serves `project` and the oracles; so do the Kronecker-built structural
-matrices E_i, e_i, B_N, B_P and P_N, and a second route to X that
-solves its definition.  Nothing is cached: a bundle is built on each
-call.
+The dense matrices come from ANOVA tables.  R^k splits into parts V_T,
+T a set of players with k_i >= 2 (Efron & Stein 1981), on which M_i is
+0 if i is in T and 1 otherwise, so an element is one scalar per V_T
+(the group inverse X is 1/|T|, and 0 on the constants), listed by the
+bit mask of T.  Players with one strategy have M_i = I and take no bit.
+_densify_blocks() writes the entries as int numerators over one
+denominator; its bit masks index profiles on their own, not through
+lines.  The dense ProjectorSet serves `project` and the oracles; so do
+the Kronecker-built structural matrices E_i, e_i, B_N, B_P and P_N, and
+two routes to X in the M_S basis.  Nothing is cached: a bundle is built
+on each call.
 """
 
 from __future__ import annotations
@@ -153,64 +154,32 @@ def closed_form_coefficients(n: int) -> Element:
     return coeffs
 
 
-def _combine(terms: Iterable[tuple[Fraction, Element]]) -> Element:
-    """sum of scale * element over the terms, zero weights dropped."""
-    out: Element = {}
-    for scale, element in terms:
-        for key, value in element.items():
-            out[key] = out.get(key, Fraction(0)) + scale * value
-    return {key: value for key, value in out.items() if value != 0}
-
-
-def _multiply(left: Element, right: Element) -> Element:
-    """Product of two elements: M_S @ M_T = M_{S|T}."""
-    return _combine((a * b, {s | t: 1}) for s, a in left.items() for t, b in right.items())
-
-
 def _ordered_subsets(n: int) -> list[frozenset[int]]:
     return [frozenset(c) for size in range(n + 1) for c in combinations(range(1, n + 1), size)]
 
 
-def _entry_values(space: GameSpace, element: Element) -> list[Fraction]:
-    """Entries of sum_S c_S M_S, by the bit mask of players on which two profiles differ."""
-    weighted = [
-        (sum(1 << (i - 1) for i in s), c / math.prod(space.strategy_counts[i - 1] for i in s))
-        for s, c in element.items()
-    ]
-    return [sum((w for m, w in weighted if m & d == d), Fraction(0)) for d in range(1 << space.n)]
+def group_inverse_element(space: GameSpace) -> Element:
+    """X over the players with two or more strategies; M_i = I drops the others out."""
+    players = list(_player_bits(space))
+    coeffs = closed_form_coefficients(len(players)) if players else {}
+    return {frozenset(players[i - 1] for i in s): c for s, c in coeffs.items()}
 
 
-def _densify_blocks(space: GameSpace, blocks: Sequence[Sequence[Element]]) -> Matrix:
-    """The block matrix whose (i, j) block is the dense k x k form of blocks[i][j].
-
-    masks[p][q] has bit i-1 set iff profiles p and q differ on player i.
-    Every block value becomes an int numerator over the least common
-    denominator of all of them, so the rows are written in canonical
-    form, and the entries of a block that share a mask share one int.
-    """
-    masks = [[0]]
-    for i, count in enumerate(space.strategy_counts):
-        axis = range(count)
-        masks = [[m | (x != y) << i for m in row for y in axis] for row in masks for x in axis]
-    tables = [[_entry_values(space, element) for element in row] for row in blocks]
-    den = math.lcm(*(v.denominator for row in tables for values in row for v in values))
-    numerators = [
-        [[v.numerator * (den // v.denominator) for v in values] for values in row]
-        for row in tables
-    ]
-    return Matrix.from_numerators(
-        (
-            [values[m] for values in table_row for m in mask_row]
-            for table_row in numerators
-            for mask_row in masks
-        ),
-        den,
-    )
+def _multiply(left: Element, right: Element) -> Element:
+    """Product of two elements: M_S @ M_T = M_{S|T}, zero weights dropped."""
+    out: Element = {}
+    for s, a in left.items():
+        for t, b in right.items():
+            out[s | t] = out.get(s | t, Fraction(0)) + a * b
+    return {key: value for key, value in out.items() if value != 0}
 
 
 def _densify(space: GameSpace, element: Element) -> Matrix:
-    """The k x k matrix of sum_S c_S M_S."""
-    return _densify_blocks(space, [[element]])
+    """The k x k matrix of sum_S c_S M_S: on V_T, the sum of the c_S with S disjoint from T."""
+    bits = _player_bits(space)
+    weighted = [(sum(bits.get(i, 0) for i in s), c) for s, c in element.items()]
+    table = [sum(c for s, c in weighted if not s & t) for t in range(1 << len(bits))]
+    return _densify_blocks(space, [[table]])
 
 
 def group_inverse_closed_form(space: GameSpace) -> Matrix:
@@ -239,6 +208,60 @@ def group_inverse_solve_route(space: GameSpace) -> Matrix:
 
 
 # -- the projector bundle ------------------------------------------------
+
+
+def _player_bits(space: GameSpace) -> dict[int, int]:
+    """The bit of each effective player (k_i >= 2) in table masks, in player order."""
+    players = [i for i, count in enumerate(space.strategy_counts, start=1) if count > 1]
+    return {i: 1 << b for b, i in enumerate(players)}
+
+
+def _entry_values(counts: Sequence[int], table: Sequence[Fraction]) -> list[Fraction]:
+    """Entries of sum_T table[T] P_T, by the mask of players on which two profiles differ.
+
+    P_T is the Kronecker product over the effective players (k_i in
+    counts) of I - M_i for i in T and M_i otherwise, so one 2x2 step per
+    player maps (value off T, value on T) to (entry where profiles agree
+    on the player, entry where they differ).
+    """
+    values = list(table)
+    for b, count in enumerate(counts):
+        bit = 1 << b
+        for mask in range(len(values)):
+            if not mask & bit:
+                rest, own = values[mask], values[mask | bit]
+                values[mask] = Fraction(rest + (count - 1) * own, count)
+                values[mask | bit] = Fraction(rest - own, count)
+    return values
+
+
+def _densify_blocks(space: GameSpace, blocks: Sequence[Sequence[Sequence[Fraction]]]) -> Matrix:
+    """The block matrix whose (i, j) block has the ANOVA table blocks[i][j].
+
+    masks[p][q] has bit b set iff profiles p and q differ on the b-th
+    effective player.  Every entry is an int numerator over the least
+    common denominator, and the entries of a block that share a mask
+    share one int.
+    """
+    counts = [space.strategy_counts[i - 1] for i in _player_bits(space)]
+    masks = [[0]]
+    for b, count in enumerate(counts):
+        axis = range(count)
+        masks = [[m | (x != y) << b for m in row for y in axis] for row in masks for x in axis]
+    tables = [[_entry_values(counts, table) for table in row] for row in blocks]
+    den = math.lcm(*(v.denominator for row in tables for values in row for v in values))
+    numerators = [
+        [[v.numerator * (den // v.denominator) for v in values] for values in row]
+        for row in tables
+    ]
+    return Matrix.from_numerators(
+        (
+            [values[m] for values in table_row for m in mask_row]
+            for table_row in numerators
+            for mask_row in masks
+        ),
+        den,
+    )
 
 
 @dataclass(frozen=True)
@@ -271,29 +294,33 @@ def subspace_dimension(space: GameSpace, kind: SubspaceKind) -> int:
 
 
 def build_projectors(space: GameSpace) -> ProjectorSet:
-    """The projector bundle for a space: one densified element per block.
+    """The projector bundle for a space: one ANOVA table per block.
 
     Block (i, j) of each projection is delta_ij (a I + b M_i) + sign
-    (I - M_i) X (I - M_j): the pure potential projection P_N X P_N.T
-    has a = b = 0, sign = 1, and the nonstrategic one diag(M_i) has
-    b = 1, sign = 0.
+    (I - M_i) X (I - M_j), which is delta_ij (a + b [i not in T]) +
+    sign [i in T] [j in T] / |T| on V_T: the pure potential projection
+    P_N X P_N.T has a = b = 0, sign = 1, and the nonstrategic one
+    diag(M_i) has b = 1, sign = 0.
     """
-    players = range(1, space.n + 1)
-    x = closed_form_coefficients(space.n)
-    residual = {i: {frozenset(): Fraction(1), frozenset((i,)): Fraction(-1)} for i in players}
-    pairs = [(i, j) for i in players for j in players]
-    pp = {(i, j): _multiply(_multiply(residual[i], x), residual[j]) for i, j in pairs}
+    bit = _player_bits(space)
+    parts = range(1 << len(bit))
+    x = [Fraction(1, t.bit_count()) if t else Fraction(0) for t in parts]
 
     def projection(a: int, b: int, sign: int) -> Matrix:
-        def block(i: int, j: int) -> Element:
-            diagonal = {frozenset(): Fraction(a), frozenset((i,)): Fraction(b)} if i == j else {}
-            return _combine([(Fraction(1), diagonal), (sign, pp[i, j])])
+        def table(i: int, j: int) -> list[Fraction]:
+            bit_i, bit_j = bit.get(i, 0), bit.get(j, 0)
+            return [
+                (a + b * (not t & bit_i) if i == j else 0)
+                + (sign * x[t] if t & bit_i and t & bit_j else 0)
+                for t in parts
+            ]
 
-        return _densify_blocks(space, [[block(i, j) for j in players] for i in players])
+        players = range(1, space.n + 1)
+        return _densify_blocks(space, [[table(i, j) for j in players] for i in players])
 
     return ProjectorSet(
         space=space,
-        group_inverse=_densify(space, x),
+        group_inverse=_densify_blocks(space, [[x]]),
         pure_potential=projection(0, 0, 1),
         nonstrategic=projection(0, 1, 0),
         pure_harmonic=projection(1, -1, -1),

@@ -1,5 +1,6 @@
 """Decomposition, membership, and the two potential-extraction routes."""
 
+import importlib
 import math
 import random
 from fractions import Fraction
@@ -7,7 +8,7 @@ from functools import lru_cache
 from itertools import combinations
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 import gamedecomp.projectors as projectors
 from _helpers import PROPERTY, games, random_game, rps_game, spaces, symmetric_222, symmetric_33
@@ -306,6 +307,14 @@ def test_check_potential_defn_length_guard():
 
 # -- the matrix-free route against the dense oracles, on random spaces ----
 
+# spaces padded with one-strategy players, which the ANOVA tables fold out
+PADDED = [GameSpace(c) for c in [(2, 1, 1, 1, 1, 3), (1,) * 10, (2, 2) + (1,) * 6]]
+
+
+def padded_game(index: int) -> Game:
+    return random_game(random.Random(index), PADDED[index])
+
+
 @lru_cache(maxsize=None)
 def oracle_group_inverse(counts: tuple[int, ...]) -> Matrix:
     """X by the dense defining-equation solve on sum_i (I - e_i/k_i)."""
@@ -318,6 +327,9 @@ def oracle_group_inverse(counts: tuple[int, ...]) -> Matrix:
 
 @PROPERTY
 @given(games())
+@example(padded_game(0))
+@example(padded_game(1))
+@example(padded_game(2))
 def test_decompose_equals_dense_projections(game):
     bundle = build_projectors(game.space)
     u = game.structure_vector()
@@ -344,6 +356,9 @@ def test_is_member_equals_dense_fixed_point(game):
 
 @PROPERTY
 @given(games(max_cells=100))
+@example(padded_game(0))
+@example(padded_game(1))
+@example(padded_game(2))
 def test_raw_potential_vector_equals_dense_route(game):
     x = oracle_group_inverse(game.space.strategy_counts)
     expected = x @ build_P_N(game.space).T @ game.structure_vector()
@@ -369,6 +384,9 @@ def test_potential_offsets_equal_lift_route(game):
 
 @PROPERTY
 @given(spaces(max_cells=100))
+@example(PADDED[0])
+@example(PADDED[1])
+@example(PADDED[2])
 def test_densified_bundle_equals_matrix_products(space):
     bundle = build_projectors(space)
     x = oracle_group_inverse(space.strategy_counts)
@@ -395,6 +413,39 @@ def test_densified_subset_product_is_scaled_e_set(space):
             k_s = math.prod(space.strategy_counts[i - 1] for i in subset)
             dense = projectors._densify(space, {frozenset(subset): Fraction(1)})
             assert dense == build_e_set(space, subset) * Fraction(1, k_s)
+
+
+def test_one_strategy_players_add_no_subset_work(monkeypatch):
+    # every table has one entry per set of players with two or more
+    # strategies, and decompose averages O(n + 2^n_eff) times; the checks
+    # fail on the first excess call, so a route that scales with all
+    # players fails here instead of running on
+    real_entry_values, real_average = projectors._entry_values, projectors.average
+    budget = {}
+
+    def entry_values(*args):
+        values = real_entry_values(*args)
+        assert len(values) == budget["table"]
+        return values
+
+    def average(*args):
+        budget["averages"] -= 1
+        assert budget["averages"] >= 0, "too many averages"
+        return real_average(*args)
+
+    monkeypatch.setattr(projectors, "_entry_values", entry_values)
+    monkeypatch.setattr(projectors, "average", average)
+    # the package exports the function decompose under its module's name
+    monkeypatch.setattr(importlib.import_module("gamedecomp.decompose"), "average", average)
+    for counts in [(2, 1, 1, 1, 1, 3), (2, 2) + (1,) * 10, (1,) * 4096]:
+        space = GameSpace(counts)
+        n_eff = sum(c > 1 for c in counts)
+        budget["table"] = 2**n_eff
+        if space.payoff_cells <= 100:
+            build_projectors(space)
+        budget["averages"] = 2 * space.n + 2**n_eff
+        game = random_game(random.Random(len(counts)), space)
+        assert decompose(game).total() == game
 
 
 def test_analyses_build_and_apply_no_dense_matrix(monkeypatch):

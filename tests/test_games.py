@@ -34,8 +34,11 @@ def test_space_validation():
         GameSpace((2, 0))
     with pytest.raises(SpaceCapError):
         GameSpace((64, 65))
-    # the cap is configurable and ignored by equality
+    # the cap is configurable and ignored by equality; so are the derived
+    # profile count and strides
     assert GameSpace((2, 2), cell_cap=100) == GameSpace((2, 2))
+    assert hash(GameSpace((2, 2), cell_cap=100)) == hash(GameSpace((2, 2)))
+    assert repr(space) == "GameSpace(strategy_counts=(2, 3, 2))"
 
 
 def test_k_between_with_empty_range():
