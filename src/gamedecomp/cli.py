@@ -19,6 +19,8 @@ from typing import Callable, Sequence
 
 from gamedecomp import analysis
 from gamedecomp.decompose import (
+    _potential,
+    _split,
     decompose,
     differs_by_constant,
     nonstrategic_component_direct,
@@ -324,12 +326,12 @@ def _verification_checks(game: Game) -> list[tuple[str, bool]]:
     via_bp, via_bn, via_pn = (
         m @ mp_inverse(m) for m in (build_B_P(space), build_B_N(space), build_P_N(space))
     )
-    parts_g = decompose(game)
+    parts_g, phi = _split(game)
     part_vectors = [
         part.structure_vector()
         for part in (parts_g.pure_potential, parts_g.nonstrategic, parts_g.pure_harmonic)
     ]
-    projected = potential_function(game)
+    projected = _potential(game, parts_g, phi)
     solved = solve_potential_equation(game)
     return [
         ("projections_symmetric", all(m.is_symmetric() for m in projections)),

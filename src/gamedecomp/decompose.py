@@ -29,13 +29,6 @@ from gamedecomp.projectors import (
 )
 
 
-# the parts that span each canonical subspace
-_PARTS = {kind: (kind.name.lower(),) for kind in SubspaceKind} | {
-    SubspaceKind.POTENTIAL: ("pure_potential", "nonstrategic"),
-    SubspaceKind.HARMONIC: ("nonstrategic", "pure_harmonic"),
-}
-
-
 @dataclass(frozen=True)
 class Decomposition:
     """The three mutually orthogonal parts of a game."""
@@ -49,13 +42,23 @@ class Decomposition:
 
     def projection(self, kind: SubspaceKind) -> Game:
         """The game's projection onto a canonical subspace."""
-        first, *rest = (getattr(self, name) for name in _PARTS[kind])
-        return sum(rest, first)
+        if kind is SubspaceKind.POTENTIAL:
+            return self.pure_potential + self.nonstrategic
+        if kind is SubspaceKind.HARMONIC:
+            return self.nonstrategic + self.pure_harmonic
+        return getattr(self, kind.name.lower())
 
     def is_member(self, kind: SubspaceKind) -> bool:
         """Whether the game lies in a canonical subspace: its parts outside it are zero."""
-        outside = {"pure_potential", "nonstrategic", "pure_harmonic"} - set(_PARTS[kind])
-        return not any(any(row) for name in outside for row in getattr(self, name).payoff_rows)
+        parts = (self.pure_potential, self.nonstrategic, self.pure_harmonic)
+        pp, ns, ph = (not any(map(any, part.payoff_rows)) for part in parts)
+        return {
+            SubspaceKind.PURE_POTENTIAL: ns and ph,
+            SubspaceKind.NONSTRATEGIC: pp and ph,
+            SubspaceKind.PURE_HARMONIC: pp and ns,
+            SubspaceKind.POTENTIAL: ph,
+            SubspaceKind.HARMONIC: pp,
+        }[kind]
 
 
 @dataclass(frozen=True)
@@ -141,7 +144,11 @@ def potential_function(game: Game) -> PotentialFunction | None:
     player i's offsets are the means of u_i - phi along i's own axis,
     one per profile of the other players.
     """
-    parts, phi = _split(game)
+    return _potential(game, *_split(game))
+
+
+def _potential(game: Game, parts: Decomposition, phi: list[Fraction]) -> PotentialFunction | None:
+    """potential_function, given the game's decomposition and its phi."""
     if not parts.is_member(SubspaceKind.POTENTIAL):
         return None
     offsets = tuple(

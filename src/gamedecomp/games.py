@@ -125,9 +125,7 @@ class GameSpace:
             raise ValueError("a game space needs at least one player")
         if any(not isinstance(c, int) or isinstance(c, bool) or c < 1 for c in counts):
             raise ValueError(f"strategy counts must be integers >= 1, got {_cut(repr(counts))}")
-        strides = tuple(accumulate(reversed(counts[1:]), operator.mul, initial=1))[::-1]
-        object.__setattr__(self, "_strides", strides)
-        object.__setattr__(self, "k", strides[0] * counts[0])
+        object.__setattr__(self, "k", math.prod(counts))
         cells = self.n * self.k
         if cells > self.cell_cap:
             # huge strategy counts can give a cell count too long for
@@ -138,6 +136,9 @@ class GameSpace:
                 f"space [{self.n}; {_cut(','.join(map(str, counts)))}] has "
                 f"{size} payoff cells, exceeding the cap of {self.cell_cap}"
             )
+        # after the cap check: a refused space's partial products can be huge
+        strides = tuple(accumulate(reversed(counts[1:]), operator.mul, initial=1))[::-1]
+        object.__setattr__(self, "_strides", strides)
 
     @property
     def n(self) -> int:

@@ -12,13 +12,12 @@ The dense matrices come from ANOVA tables.  R^k splits into parts V_T,
 T a set of players with k_i >= 2 (Efron & Stein 1981), on which M_i is
 0 if i is in T and 1 otherwise, so an element is one scalar per V_T
 (the group inverse X is 1/|T|, and 0 on the constants), listed by the
-bit mask of T.  Players with one strategy have M_i = I and take no bit.
+bit mask of T; players with one strategy have M_i = I and take no bit.
 _densify_blocks() writes the entries as int numerators over one
-denominator; its bit masks index profiles on their own, not through
-lines.  The dense ProjectorSet serves `project` and the oracles; so do
-the Kronecker-built structural matrices E_i, e_i, B_N, B_P and P_N, and
-two routes to X in the M_S basis.  Nothing is cached: a bundle is built
-on each call.
+denominator, its bit masks indexing profiles on their own.  The dense
+ProjectorSet serves `project` and the oracles; so do the Kronecker-built
+E_i, e_i, B_N, B_P and P_N, and two routes to X in the M_S basis.
+Nothing is cached: a bundle is built on each call.
 """
 
 from __future__ import annotations
@@ -239,9 +238,7 @@ def _densify_blocks(space: GameSpace, blocks: Sequence[Sequence[Sequence[Fractio
     """The block matrix whose (i, j) block has the ANOVA table blocks[i][j].
 
     masks[p][q] has bit b set iff profiles p and q differ on the b-th
-    effective player.  Every entry is an int numerator over the least
-    common denominator, and the entries of a block that share a mask
-    share one int.
+    effective player; entries that share a block and a mask share one int.
     """
     counts = [space.strategy_counts[i - 1] for i in _player_bits(space)]
     masks = [[0]]

@@ -1,6 +1,7 @@
 """Game spaces, profile indexing, payoffs, mixed profiles, file format."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -39,6 +40,21 @@ def test_space_validation():
     assert GameSpace((2, 2), cell_cap=100) == GameSpace((2, 2))
     assert hash(GameSpace((2, 2), cell_cap=100)) == hash(GameSpace((2, 2)))
     assert repr(space) == "GameSpace(strategy_counts=(2, 3, 2))"
+
+
+def test_many_player_space_is_refused_in_linear_memory():
+    # the profile count of 50,000 two-strategy players is a 50,000-bit
+    # int; the partial products behind the index strides would take about
+    # 156 MB, so the cap must refuse the space before they are built
+    counts = (2,) * 50_000
+    tracemalloc.start()
+    try:
+        with pytest.raises(SpaceCapError):
+            GameSpace(counts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_k_between_with_empty_range():
