@@ -137,6 +137,12 @@ def _emit_json(doc: dict, decimal: int | None) -> None:
     sys.stdout.write(json.dumps(doc, indent=2) + "\n")
 
 
+def _emit_csv(lines: list[str], decimal: int | None) -> None:
+    if decimal is not None:
+        lines = [f"# approximate: {decimal} decimal digits", *lines]
+    sys.stdout.write("\n".join(lines) + "\n")
+
+
 def _load_game(args: argparse.Namespace) -> Game:
     with open(args.file, "r", encoding="utf-8") as handle:
         try:
@@ -233,7 +239,7 @@ def _cmd_potential(args: argparse.Namespace) -> int:
     doc: dict = {"command": "potential", "space": _space_doc(game.space)}
     if projected is None:
         if args.format == "csv":
-            sys.stdout.write("potential,false\n")
+            _emit_csv(["potential,false"], args.decimal)
             return 0
         doc["potential"] = False
         doc["routes_agree"] = solved is None
@@ -246,8 +252,8 @@ def _cmd_potential(args: argparse.Namespace) -> int:
         return 0
     values = projected.values if args.shift is None else projected.shifted(args.shift).values
     if args.format == "csv":
-        rendered = (f"{idx},{_render(x, args.decimal)}" for idx, x in enumerate(values, start=1))
-        sys.stdout.write("\n".join(["profile_index,value", *rendered]) + "\n")
+        rendered = [f"{idx},{_render(x, args.decimal)}" for idx, x in enumerate(values, start=1)]
+        _emit_csv(["profile_index,value", *rendered], args.decimal)
         return 0
     doc["potential"] = True
     doc["values"] = [_render(x, args.decimal) for x in values]
@@ -271,9 +277,7 @@ def _cmd_project(args: argparse.Namespace) -> int:
     kind = SubspaceKind(args.kind)
     rows = [[_render(x, args.decimal) for x in row] for row in bundle.projection(kind).rows_iter()]
     if args.format == "csv":
-        lines = [] if args.decimal is None else [f"# approximate: {args.decimal} decimal digits"]
-        lines += [",".join(map(str, row)) for row in rows]
-        sys.stdout.write("\n".join(lines) + "\n")
+        _emit_csv([",".join(map(str, row)) for row in rows], args.decimal)
         return 0
     doc = {
         "command": "project",

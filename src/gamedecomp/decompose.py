@@ -6,9 +6,10 @@ applied.  With u_i player i's payoff row: nonstrategic_i = M_i u_i, the
 canonical potential phi = X sum_i (u_i - M_i u_i), pure_potential_i =
 phi - M_i phi, and pure_harmonic = u - pure_potential - nonstrategic.
 Potential functions are extracted two independent ways: phi with its
-offsets (the means of u_i - phi along player i's axis), and a direct
-solve of the block linear system whose consistency characterizes
-potentiality.  The two agree up to an additive constant.
+offsets (the means of u_i - phi along player i's axis), and path sums
+of unilateral payoff changes, which solve the deviation-difference
+system whose consistency characterizes potentiality in O(nk) steps.
+The two agree up to an additive constant.
 """
 
 from __future__ import annotations
@@ -18,13 +19,11 @@ from fractions import Fraction
 from typing import Sequence
 
 from gamedecomp.games import Game
-from gamedecomp.linalg import Matrix, hstack, solve_linear, vstack
 from gamedecomp.projectors import (
     SubspaceKind,
     apply_element,
     average,
     axis_means,
-    build_E,
     group_inverse_element,
 )
 
@@ -159,52 +158,44 @@ def _potential(game: Game, parts: Decomposition, phi: list[Fraction]) -> Potenti
 
 
 def solve_potential_equation(game: Game) -> PotentialFunction | None:
-    """Potential extraction by solving the deviation-difference system.
+    """Potential extraction by path sums (Monderer & Shapley 1996).
 
-    Unknowns are the per-player offset blocks; the equations say that
-    all players' payoff rows differ from a shared potential only
-    through their own offset lift.  Inconsistency means the game is not
-    potential.  Free variables are zeroed, so the output is
-    deterministic (and generally differs from potential_function by a
-    constant, not entrywise).
+    Solves the deviation-difference system u_i = phi + E_i xi_i, i =
+    1..n, whose consistency characterizes potentiality, with no matrix.
+    phi at a profile sums the payoff changes u_i(before) - u_i(after) as
+    players 1..n in turn reset to strategy 1.  Player i's offset xi_i on
+    one of its own-strategy lines is the value u_i - phi takes on the
+    whole line; a line where it is not constant means the game is not
+    potential.  The solutions differ by a constant added to phi and
+    taken from every offset.  The constant is fixed so that player n's
+    offset on its last line is 0: elimination over the offsets in player
+    order leaves that unknown, and only that one, free, so this is the
+    solution with its free variable zeroed.  It generally differs from
+    potential_function by a constant, not entrywise.
     """
     space = game.space
-    lifts = [build_E(space, i) for i in range(1, space.n + 1)]
-    widths = [space.k // c for c in space.strategy_counts]
-    if space.n == 1:
-        # no cross-player constraints; the potential is the payoff row
-        offsets = (tuple([Fraction(0)] * widths[0]),)
-        return PotentialFunction(values=game.payoff_rows[0], player_offsets=offsets)
-    block_rows = []
-    rhs_blocks = []
-    for j in range(2, space.n + 1):
-        blocks = []
-        for i in range(1, space.n + 1):
-            if i == 1:
-                blocks.append(-lifts[0])
-            elif i == j:
-                blocks.append(lifts[j - 1])
-            else:
-                blocks.append(Matrix.zeros(space.k, widths[i - 1]))
-        block_rows.append(hstack(blocks))
-        rhs_blocks.append(
-            Matrix.column(game.payoff_rows[j - 1]) - Matrix.column(game.payoff_rows[0])
-        )
-    system = vstack(block_rows)
-    rhs = vstack(rhs_blocks)
-    solution = solve_linear(system, rhs)
-    if solution is None:
-        return None
-    column = solution.column_tuple(0)
+    rows = game.payoff_rows
+    phi = []
+    for index in range(space.k):
+        value, here = Fraction(0), index
+        for i, row in enumerate(rows, start=1):
+            reset = space.line(i, here).start
+            value += row[here] - row[reset]
+            here = reset
+        phi.append(value)
     offsets = []
-    start = 0
-    for width in widths:
-        offsets.append(column[start : start + width])
-        start += width
-    xi_1 = Matrix.column(offsets[0])
-    phi = Matrix.column(game.payoff_rows[0]) - lifts[0] @ xi_1
+    for i, row in enumerate(rows, start=1):
+        block = []
+        for line in space.lines(i):
+            offset = row[line.start] - phi[line.start]
+            if any(u - p != offset for u, p in zip(row[line], phi[line])):
+                return None
+            block.append(offset)
+        offsets.append(block)
+    constant = offsets[-1][-1]
     return PotentialFunction(
-        values=phi.column_tuple(0), player_offsets=tuple(offsets)
+        values=tuple(p + constant for p in phi),
+        player_offsets=tuple(tuple(x - constant for x in block) for block in offsets),
     )
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Hashable, Iterable, Sequence
 
 from gamedecomp.games import GameSpace
 from gamedecomp.linalg import Matrix, block_diag, hstack, kron, solve_linear, vstack
@@ -178,7 +178,7 @@ def _densify(space: GameSpace, element: Element) -> Matrix:
     bits = _player_bits(space)
     weighted = [(sum(bits.get(i, 0) for i in s), c) for s, c in element.items()]
     table = [sum(c for s, c in weighted if not s & t) for t in range(1 << len(bits))]
-    return _densify_blocks(space, [[table]])
+    return _densify_blocks(space, {None: table}, [[None]])
 
 
 def group_inverse_closed_form(space: GameSpace) -> Matrix:
@@ -234,27 +234,31 @@ def _entry_values(counts: Sequence[int], table: Sequence[Fraction]) -> list[Frac
     return values
 
 
-def _densify_blocks(space: GameSpace, blocks: Sequence[Sequence[Sequence[Fraction]]]) -> Matrix:
-    """The block matrix whose (i, j) block has the ANOVA table blocks[i][j].
+def _densify_blocks(
+    space: GameSpace, tables: dict[Hashable, Sequence[Fraction]], layout: Sequence[Sequence[Hashable]]
+) -> Matrix:
+    """The block matrix whose (i, j) block has the ANOVA table tables[layout[i][j]].
 
-    masks[p][q] has bit b set iff profiles p and q differ on the b-th
-    effective player; entries that share a block and a mask share one int.
+    Each distinct table is turned into entries once.  masks[p][q] has
+    bit b set iff profiles p and q differ on the b-th effective player;
+    entries that share a table and a mask share one int.
     """
     counts = [space.strategy_counts[i - 1] for i in _player_bits(space)]
     masks = [[0]]
     for b, count in enumerate(counts):
         axis = range(count)
         masks = [[m | (x != y) << b for m in row for y in axis] for row in masks for x in axis]
-    tables = [[_entry_values(counts, table) for table in row] for row in blocks]
-    den = math.lcm(*(v.denominator for row in tables for values in row for v in values))
-    numerators = [
-        [[v.numerator * (den // v.denominator) for v in values] for values in row]
-        for row in tables
-    ]
+    entries = {key: _entry_values(counts, table) for key, table in tables.items()}
+    den = math.lcm(*(v.denominator for values in entries.values() for v in values))
+    numerators = {
+        key: [v.numerator * (den // v.denominator) for v in values]
+        for key, values in entries.items()
+    }
+    blocks = [[numerators[key] for key in row] for row in layout]
     return Matrix.from_numerators(
         (
-            [values[m] for values in table_row for m in mask_row]
-            for table_row in numerators
+            [values[m] for values in block_row for m in mask_row]
+            for block_row in blocks
             for mask_row in masks
         ),
         den,
@@ -291,7 +295,7 @@ def subspace_dimension(space: GameSpace, kind: SubspaceKind) -> int:
 
 
 def build_projectors(space: GameSpace) -> ProjectorSet:
-    """The projector bundle for a space: one ANOVA table per block.
+    """The projector bundle for a space, from one ANOVA table per distinct block.
 
     Block (i, j) of each projection is delta_ij (a I + b M_i) + sign
     (I - M_i) X (I - M_j), which is delta_ij (a + b [i not in T]) +
@@ -302,22 +306,24 @@ def build_projectors(space: GameSpace) -> ProjectorSet:
     bit = _player_bits(space)
     parts = range(1 << len(bit))
     x = [Fraction(1, t.bit_count()) if t else Fraction(0) for t in parts]
+    # a block's table depends only on (bit_i, bit_j, i == j)
+    players = range(1, space.n + 1)
+    layout = [[(bit.get(i, 0), bit.get(j, 0), i == j) for j in players] for i in players]
+    keys = {key for row in layout for key in row}
 
     def projection(a: int, b: int, sign: int) -> Matrix:
-        def table(i: int, j: int) -> list[Fraction]:
-            bit_i, bit_j = bit.get(i, 0), bit.get(j, 0)
+        def table(bit_i: int, bit_j: int, same: bool) -> list[Fraction]:
             return [
-                (a + b * (not t & bit_i) if i == j else 0)
+                (a + b * (not t & bit_i) if same else 0)
                 + (sign * x[t] if t & bit_i and t & bit_j else 0)
                 for t in parts
             ]
 
-        players = range(1, space.n + 1)
-        return _densify_blocks(space, [[table(i, j) for j in players] for i in players])
+        return _densify_blocks(space, {key: table(*key) for key in keys}, layout)
 
     return ProjectorSet(
         space=space,
-        group_inverse=_densify_blocks(space, [[x]]),
+        group_inverse=_densify_blocks(space, {None: x}, [[None]]),
         pure_potential=projection(0, 0, 1),
         nonstrategic=projection(0, 1, 0),
         pure_harmonic=projection(1, -1, -1),

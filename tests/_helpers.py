@@ -3,7 +3,8 @@ reference games, naive Fraction-based product, entrywise, stacking,
 elimination and back-substitution oracles kept independent of the
 package's integer kernels, and brute-force Nash and potential checks
 that enumerate deviations through profile_index and expected_payoff,
-independent of GameSpace.lines."""
+independent of GameSpace.lines, and the dense Bareiss solve of the
+potential equation that its path-sum route is pinned to."""
 
 from __future__ import annotations
 
@@ -14,8 +15,10 @@ from fractions import Fraction
 from hypothesis import settings
 from hypothesis import strategies as st
 
+from gamedecomp.decompose import PotentialFunction
 from gamedecomp.games import Game, GameSpace, MixedProfile
-from gamedecomp.linalg import Matrix
+from gamedecomp.linalg import Matrix, hstack, solve_linear, vstack
+from gamedecomp.projectors import build_E
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
 
@@ -195,8 +198,6 @@ def fraction_solve(a: Matrix, b: Matrix) -> Matrix | None:
 
 def naive_consistent(a: Matrix, b: Matrix) -> bool:
     """Whether a @ X = b has a solution: rank test on the augmented matrix."""
-    from gamedecomp.linalg import hstack
-
     return naive_rank(hstack([a, b])) == naive_rank(a)
 
 
@@ -246,3 +247,49 @@ def brute_potential_defn(game: Game, values) -> bool:
         for i in range(1, space.n + 1)
         for varied in _deviations(space, s, i)
     )
+
+
+# -- the dense potential solve ----------------------------------------------
+
+
+def dense_potential_equation(game: Game) -> PotentialFunction | None:
+    """The deviation-difference system as one dense Bareiss solve.
+
+    Unknowns are the per-player offset blocks xi_i; block row j says
+    -E_1 xi_1 + E_j xi_j = u_j - u_1, and phi = u_1 - E_1 xi_1.
+    Inconsistency means the game is not potential.  Free variables are
+    zeroed, so the solution is the one solve_potential_equation returns.
+    """
+    space = game.space
+    lifts = [build_E(space, i) for i in range(1, space.n + 1)]
+    widths = [space.k // c for c in space.strategy_counts]
+    if space.n == 1:
+        # no cross-player constraints; the potential is the payoff row
+        offsets = (tuple([Fraction(0)] * widths[0]),)
+        return PotentialFunction(values=game.payoff_rows[0], player_offsets=offsets)
+    block_rows = []
+    rhs_blocks = []
+    for j in range(2, space.n + 1):
+        blocks = []
+        for i in range(1, space.n + 1):
+            if i == 1:
+                blocks.append(-lifts[0])
+            elif i == j:
+                blocks.append(lifts[j - 1])
+            else:
+                blocks.append(Matrix.zeros(space.k, widths[i - 1]))
+        block_rows.append(hstack(blocks))
+        rhs_blocks.append(
+            Matrix.column(game.payoff_rows[j - 1]) - Matrix.column(game.payoff_rows[0])
+        )
+    solution = solve_linear(vstack(block_rows), vstack(rhs_blocks))
+    if solution is None:
+        return None
+    column = solution.column_tuple(0)
+    offsets = []
+    start = 0
+    for width in widths:
+        offsets.append(column[start : start + width])
+        start += width
+    phi = Matrix.column(game.payoff_rows[0]) - lifts[0] @ Matrix.column(offsets[0])
+    return PotentialFunction(values=phi.column_tuple(0), player_offsets=tuple(offsets))

@@ -126,6 +126,18 @@ def test_potential_csv(tmp_path, capsys):
     assert len(lines) == 9
 
 
+def test_potential_csv_decimal_is_labeled(tmp_path, capsys):
+    # phi = u - M u = (19/48, -19/48) for the one-player game (2/3, -1/8)
+    path = write_game(tmp_path, Game(GameSpace((2,)), ((Fraction(2, 3), Fraction(-1, 8)),)))
+    code, out, _ = run_cli(capsys, "potential", path, "--format", "csv", "--decimal", "3")
+    assert code == 0
+    assert out == "# approximate: 3 decimal digits\nprofile_index,value\n1,0.396\n2,-0.396\n"
+    path = write_game(tmp_path, rps_game())
+    code, out, _ = run_cli(capsys, "potential", path, "--format", "csv", "--decimal", "3")
+    assert code == 0
+    assert out == "# approximate: 3 decimal digits\npotential,false\n"
+
+
 def test_project_reproduces_regression_matrix(tmp_path, capsys):
     code, out, _ = run_cli(
         capsys, "project", "--space", "3:2,2,2", "--kind", "potential"
@@ -147,7 +159,7 @@ def test_project_csv_and_decimal(tmp_path, capsys):
     )
     assert code == 0
     lines = out.strip().split("\n")
-    assert lines[0].startswith("# approximate")
+    assert lines[0] == "# approximate: 3 decimal digits"
     assert lines[1].split(",")[0] == "0.500"
 
 

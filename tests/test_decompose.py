@@ -11,7 +11,16 @@ import pytest
 from hypothesis import example, given
 
 import gamedecomp.projectors as projectors
-from _helpers import PROPERTY, games, random_game, rps_game, spaces, symmetric_222, symmetric_33
+from _helpers import (
+    PROPERTY,
+    dense_potential_equation,
+    games,
+    random_game,
+    rps_game,
+    spaces,
+    symmetric_222,
+    symmetric_33,
+)
 from gamedecomp.analysis import check_potential_defn
 from gamedecomp.decompose import (
     decompose,
@@ -383,6 +392,23 @@ def test_potential_offsets_equal_lift_route(game):
 
 
 @PROPERTY
+@given(games(max_cells=100))
+@example(padded_game(0))
+@example(padded_game(1))
+@example(padded_game(2))
+@example(Game.from_vector(GameSpace((3,)), [4, -1, 2]))
+def test_path_sums_equal_dense_potential_solve(game):
+    # same verdict, values and offsets, entrywise, on a game and its
+    # potential projection (rarely a potential game, always one)
+    potential = Game.from_vector(
+        game.space, build_projectors(game.space).potential @ game.structure_vector()
+    )
+    for g in (game, potential):
+        assert solve_potential_equation(g) == dense_potential_equation(g)
+    assert solve_potential_equation(potential) is not None
+
+
+@PROPERTY
 @given(spaces(max_cells=100))
 @example(PADDED[0])
 @example(PADDED[1])
@@ -417,13 +443,16 @@ def test_densified_subset_product_is_scaled_e_set(space):
 
 def test_one_strategy_players_add_no_subset_work(monkeypatch):
     # every table has one entry per set of players with two or more
-    # strategies, and decompose averages O(n + 2^n_eff) times; the checks
-    # fail on the first excess call, so a route that scales with all
-    # players fails here instead of running on
+    # strategies, a build turns one table per projection and distinct
+    # (bit_i, bit_j, i == j) into entries, and decompose averages
+    # O(n + 2^n_eff) times; the checks fail on the first excess call, so
+    # a route that scales with all players fails here instead of running on
     real_entry_values, real_average = projectors._entry_values, projectors.average
     budget = {}
 
     def entry_values(*args):
+        budget["tables"] -= 1
+        assert budget["tables"] >= 0, "too many tables"
         values = real_entry_values(*args)
         assert len(values) == budget["table"]
         return values
@@ -441,6 +470,7 @@ def test_one_strategy_players_add_no_subset_work(monkeypatch):
         space = GameSpace(counts)
         n_eff = sum(c > 1 for c in counts)
         budget["table"] = 2**n_eff
+        budget["tables"] = 5 * ((n_eff + 1) ** 2 + n_eff + 1) + 1
         if space.payoff_cells <= 100:
             build_projectors(space)
         budget["averages"] = 2 * space.n + 2**n_eff
@@ -467,3 +497,5 @@ def test_analyses_build_and_apply_no_dense_matrix(monkeypatch):
         raw_potential_vector(g)
     assert potential_function(game) is None
     assert potential_function(potential) is not None
+    assert solve_potential_equation(game) is None
+    assert solve_potential_equation(potential) is not None
