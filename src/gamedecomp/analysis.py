@@ -12,21 +12,24 @@ own-strategy lines, which come from GameSpace.lines and line.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Sequence
 
 from gamedecomp.decompose import PotentialFunction, differs_by_constant
-from gamedecomp.games import Game, GameSpace
+from gamedecomp.games import Game, GameSpace, _Value
 from gamedecomp.linalg import Matrix, block_diag, hstack, rank, vstack
 from gamedecomp.projectors import build_E
 
 
-@dataclass(frozen=True)
-class NashReport:
+class NashReport(_Value):
     """Pure equilibria plus the uniformly-mixed equilibrium verdict."""
 
-    pure_equilibria: tuple[tuple[int, ...], ...]
-    uniform_mixed_is_nash: bool
+    _fields = ("pure_equilibria", "uniform_mixed_is_nash")
+
+    def __init__(
+        self, pure_equilibria: tuple[tuple[int, ...], ...], uniform_mixed_is_nash: bool
+    ) -> None:
+        object.__setattr__(self, "pure_equilibria", pure_equilibria)
+        object.__setattr__(self, "uniform_mixed_is_nash", uniform_mixed_is_nash)
 
 
 def _own_lines(game: Game):

@@ -14,8 +14,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Callable, Sequence
 from fractions import Fraction
-from typing import Callable, Sequence
 
 from gamedecomp import analysis
 from gamedecomp.decompose import (

@@ -14,11 +14,10 @@ The two agree up to an additive constant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
-from gamedecomp.games import Game
+from gamedecomp.games import Game, _Value
 from gamedecomp.projectors import (
     SubspaceKind,
     apply_element,
@@ -28,13 +27,15 @@ from gamedecomp.projectors import (
 )
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(_Value):
     """The three mutually orthogonal parts of a game."""
 
-    pure_potential: Game
-    nonstrategic: Game
-    pure_harmonic: Game
+    _fields = ("pure_potential", "nonstrategic", "pure_harmonic")
+
+    def __init__(self, pure_potential: Game, nonstrategic: Game, pure_harmonic: Game) -> None:
+        object.__setattr__(self, "pure_potential", pure_potential)
+        object.__setattr__(self, "nonstrategic", nonstrategic)
+        object.__setattr__(self, "pure_harmonic", pure_harmonic)
 
     def total(self) -> Game:
         return self.pure_potential + self.nonstrategic + self.pure_harmonic
@@ -60,8 +61,7 @@ class Decomposition:
         }[kind]
 
 
-@dataclass(frozen=True)
-class PotentialFunction:
+class PotentialFunction(_Value):
     """A potential's values over profiles, in profile-index order.
 
     A potential is only determined up to an additive constant; the
@@ -70,8 +70,13 @@ class PotentialFunction:
     blocks that accompany the extraction are kept for inspection.
     """
 
-    values: tuple[Fraction, ...]
-    player_offsets: tuple[tuple[Fraction, ...], ...] = ()
+    _fields = ("values", "player_offsets")
+
+    def __init__(
+        self, values: tuple[Fraction, ...], player_offsets: tuple[tuple[Fraction, ...], ...] = ()
+    ) -> None:
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "player_offsets", player_offsets)
 
     def shifted(self, constant: Fraction | int) -> "PotentialFunction":
         c = Fraction(constant)

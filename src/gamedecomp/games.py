@@ -23,10 +23,9 @@ import json
 import math
 import operator
 import re
-from dataclasses import dataclass, field
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from itertools import accumulate, product
-from typing import Iterator, Sequence
 
 from gamedecomp.linalg import Matrix
 
@@ -102,8 +101,43 @@ def _cut(text: str) -> str:
     return text if len(text) <= 40 else f"{text[:40]}..."
 
 
-@dataclass(frozen=True)
-class GameSpace:
+class _Value:
+    """Base of the package's immutable value types.
+
+    A subclass lists its fields in _fields, in repr order, and sets each
+    one once in __init__ with object.__setattr__.  Equality and hash
+    read the fields in _compared (all of _fields when it is None), and
+    hold between instances of one class only.  Setting or deleting an
+    attribute raises AttributeError.
+    """
+
+    _fields: tuple[str, ...] = ()
+    _compared: tuple[str, ...] | None = None
+
+    def _key(self) -> tuple[object, ...]:
+        names = self._fields if self._compared is None else self._compared
+        return tuple([getattr(self, name) for name in names])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({shown})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: {type(self).__name__} is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is immutable")
+
+
+class GameSpace(_Value):
     """Player count and per-player strategy counts.
 
     The signature [n; k_1, ..., k_n] fixes the payoff space dimension
@@ -112,29 +146,27 @@ class GameSpace:
     and does not take part in equality.
     """
 
-    strategy_counts: tuple[int, ...]
-    cell_cap: int = field(default=DEFAULT_CELL_CAP, compare=False, repr=False)
-    # derived once: the profile count, and each player's index stride
-    k: int = field(init=False, compare=False, repr=False)
-    _strides: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    _fields = ("strategy_counts",)
 
-    def __post_init__(self) -> None:
-        counts = tuple(self.strategy_counts)
+    def __init__(self, strategy_counts: Sequence[int], cell_cap: int = DEFAULT_CELL_CAP) -> None:
+        counts = tuple(strategy_counts)
         object.__setattr__(self, "strategy_counts", counts)
+        object.__setattr__(self, "cell_cap", cell_cap)
         if len(counts) < 1:
             raise ValueError("a game space needs at least one player")
         if any(not isinstance(c, int) or isinstance(c, bool) or c < 1 for c in counts):
             raise ValueError(f"strategy counts must be integers >= 1, got {_cut(repr(counts))}")
+        # derived once: the profile count, and each player's index stride
         object.__setattr__(self, "k", math.prod(counts))
         cells = self.n * self.k
-        if cells > self.cell_cap:
+        if cells > cell_cap:
             # huge strategy counts can give a cell count too long for
             # str(); its bit length is enough to refuse the space
             bits = cells.bit_length()
             size = str(cells) if bits <= 64 else f"at least 2**{bits - 1}"
             raise SpaceCapError(
                 f"space [{self.n}; {_cut(','.join(map(str, counts)))}] has "
-                f"{size} payoff cells, exceeding the cap of {self.cell_cap}"
+                f"{size} payoff cells, exceeding the cap of {cell_cap}"
             )
         # after the cap check: a refused space's partial products can be huge
         strides = tuple(accumulate(reversed(counts[1:]), operator.mul, initial=1))[::-1]
@@ -219,14 +251,13 @@ class GameSpace:
         return stride, stride * self.strategy_counts[player - 1]
 
 
-@dataclass(frozen=True)
-class MixedProfile:
+class MixedProfile(_Value):
     """One probability vector per player; entries >= 0 summing to 1."""
 
-    weights: tuple[tuple[Fraction, ...], ...]
+    _fields = ("weights",)
 
-    def __post_init__(self) -> None:
-        weights = tuple(tuple(as_rational(w) for w in row) for row in self.weights)
+    def __init__(self, weights: Sequence[Sequence[object]]) -> None:
+        weights = tuple(tuple(as_rational(w) for w in row) for row in weights)
         object.__setattr__(self, "weights", weights)
         if not weights:
             raise ValueError("a mixed profile needs at least one player")
@@ -251,8 +282,7 @@ class MixedProfile:
         )
 
 
-@dataclass(frozen=True)
-class Game:
+class Game(_Value):
     """A finite game: a space plus one payoff row per player.
 
     Row i lists player i's payoff at every profile, in profile index
@@ -260,21 +290,24 @@ class Game:
     the optional name is carried for display only.
     """
 
-    space: GameSpace
-    payoff_rows: tuple[tuple[Fraction, ...], ...]
-    name: str | None = field(default=None, compare=False)
+    _fields = ("space", "payoff_rows", "name")
+    _compared = ("space", "payoff_rows")
 
-    def __post_init__(self) -> None:
-        rows = tuple(tuple(as_rational(x) for x in row) for row in self.payoff_rows)
+    def __init__(
+        self, space: GameSpace, payoff_rows: Sequence[Sequence[object]], name: str | None = None
+    ) -> None:
+        if not isinstance(space, GameSpace):
+            raise TypeError(f"a game's space must be a GameSpace, got {type(space).__name__}")
+        rows = tuple(tuple(as_rational(x) for x in row) for row in payoff_rows)
+        object.__setattr__(self, "space", space)
         object.__setattr__(self, "payoff_rows", rows)
-        if len(rows) != self.space.n:
-            raise PayoffCountError(
-                f"expected {self.space.n} payoff rows, got {len(rows)}"
-            )
+        object.__setattr__(self, "name", name)
+        if len(rows) != space.n:
+            raise PayoffCountError(f"expected {space.n} payoff rows, got {len(rows)}")
         for i, row in enumerate(rows, start=1):
-            if len(row) != self.space.k:
+            if len(row) != space.k:
                 raise PayoffCountError(
-                    f"player {i} payoff row has {len(row)} entries, expected {self.space.k}"
+                    f"player {i} payoff row has {len(row)} entries, expected {space.k}"
                 )
 
     @classmethod

@@ -23,12 +23,12 @@ the Kronecker and semitensor products.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from itertools import chain
 from operator import add, itemgetter, mul, sub
-from typing import Iterable, Iterator, Sequence, Union
 
-Scalar = Union[int, Fraction]
+Scalar = int | Fraction
 Rows = tuple[tuple[int, ...], ...]
 
 _ZERO = Fraction(0)

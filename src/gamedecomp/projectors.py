@@ -23,13 +23,12 @@ Nothing is cached: a bundle is built on each call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Hashable, Iterable, Sequence
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
-from typing import Hashable, Iterable, Sequence
 
-from gamedecomp.games import GameSpace
+from gamedecomp.games import GameSpace, _Value
 from gamedecomp.linalg import Matrix, block_diag, hstack, kron, solve_linear, vstack
 
 Element = dict[frozenset[int], Fraction]
@@ -265,17 +264,36 @@ def _densify_blocks(
     )
 
 
-@dataclass(frozen=True)
-class ProjectorSet:
+class ProjectorSet(_Value):
     """All five projections for one space, plus the group inverse X."""
 
-    space: GameSpace
-    group_inverse: Matrix
-    pure_potential: Matrix
-    nonstrategic: Matrix
-    pure_harmonic: Matrix
-    potential: Matrix
-    harmonic: Matrix
+    _fields = (
+        "space",
+        "group_inverse",
+        "pure_potential",
+        "nonstrategic",
+        "pure_harmonic",
+        "potential",
+        "harmonic",
+    )
+
+    def __init__(
+        self,
+        space: GameSpace,
+        group_inverse: Matrix,
+        pure_potential: Matrix,
+        nonstrategic: Matrix,
+        pure_harmonic: Matrix,
+        potential: Matrix,
+        harmonic: Matrix,
+    ) -> None:
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "group_inverse", group_inverse)
+        object.__setattr__(self, "pure_potential", pure_potential)
+        object.__setattr__(self, "nonstrategic", nonstrategic)
+        object.__setattr__(self, "pure_harmonic", pure_harmonic)
+        object.__setattr__(self, "potential", potential)
+        object.__setattr__(self, "harmonic", harmonic)
 
     def projection(self, kind: SubspaceKind) -> Matrix:
         return getattr(self, kind.name.lower())

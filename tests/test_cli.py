@@ -2,7 +2,10 @@
 
 import json
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -407,3 +410,21 @@ def test_internal_value_error_is_not_reported_as_bad_input(tmp_path, capsys, mon
     with pytest.raises(ValueError, match="internal fault"):
         main(["decompose", path])
     assert capsys.readouterr().out == ""
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_typing():
+    # a fresh interpreter: -S keeps site hooks, which may preload typing,
+    # out of the result, and -B writes no bytecode; the CLI must still
+    # load all six modules eagerly
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    script = (
+        "import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); "
+        "import gamedecomp.cli; print(*sorted(set(sys.modules) - before))"
+    )
+    command = [sys.executable, "-I", "-S", "-B", "-c", script, src]
+    proc = subprocess.run(command, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    modules = ("analysis", "cli", "decompose", "games", "linalg", "projectors")
+    assert {f"gamedecomp.{name}" for name in modules} <= loaded
+    assert not loaded & {"dataclasses", "inspect", "typing"}

@@ -42,6 +42,11 @@ def test_space_validation():
     assert repr(space) == "GameSpace(strategy_counts=(2, 3, 2))"
 
 
+def test_game_needs_a_game_space():
+    with pytest.raises(TypeError, match="GameSpace, got tuple"):
+        Game((2, 2), [[0] * 4, [0] * 4])
+
+
 def test_many_player_space_is_refused_in_linear_memory():
     # the profile count of 50,000 two-strategy players is a 50,000-bit
     # int; the partial products behind the index strides would take about
