@@ -5,6 +5,8 @@ operators M_i (see projectors.py); no projection matrix is built or
 applied.  With u_i player i's payoff row: nonstrategic_i = M_i u_i, the
 canonical potential phi = X sum_i (u_i - M_i u_i), pure_potential_i =
 phi - M_i phi, and pure_harmonic = u - pure_potential - nonstrategic.
+X is applied by ANOVA grade (apply_group_inverse), one average per
+effective player and grade; the M_S basis serves only the oracles.
 Potential functions are extracted two independent ways: phi with its
 offsets (the means of u_i - phi along player i's axis), and path sums
 of unilateral payoff changes, which solve the deviation-difference
@@ -18,13 +20,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 
 from gamedecomp.games import Game, _Value
-from gamedecomp.projectors import (
-    SubspaceKind,
-    apply_element,
-    average,
-    axis_means,
-    group_inverse_element,
-)
+from gamedecomp.projectors import SubspaceKind, apply_group_inverse, average, axis_means
 
 
 class Decomposition(_Value):
@@ -79,6 +75,8 @@ class PotentialFunction(_Value):
         object.__setattr__(self, "player_offsets", player_offsets)
 
     def shifted(self, constant: Fraction | int) -> "PotentialFunction":
+        if isinstance(constant, bool) or not isinstance(constant, (int, Fraction)):
+            raise TypeError(f"shifts must be rational numbers, not {type(constant).__name__}")
         c = Fraction(constant)
         return PotentialFunction(tuple(v + c for v in self.values), self.player_offsets)
 
@@ -99,7 +97,7 @@ def _nonstrategic_rows(game: Game) -> list[list[Fraction]]:
 def _potential_vector(game: Game, nonstrategic: list[list[Fraction]]) -> list[Fraction]:
     """phi = X sum_i (u_i - M_i u_i), given the M_i u_i."""
     lifted = [sum(u) - sum(m) for u, m in zip(zip(*game.payoff_rows), zip(*nonstrategic))]
-    return apply_element(game.space, group_inverse_element(game.space), lifted)
+    return apply_group_inverse(game.space, lifted)
 
 
 def _split(game: Game) -> tuple[Decomposition, list[Fraction]]:

@@ -32,7 +32,7 @@ from gamedecomp.linalg import Matrix
 DEFAULT_CELL_CAP = 4096
 MAX_DECIMAL_EXPONENT = 4300
 _ZERO = Fraction(0)
-_EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)$")
+_EXPONENT = re.compile(r"[eE]([-+]?[0-9]+)$")
 
 
 class GameFormatError(ValueError):
@@ -77,11 +77,17 @@ def as_rational(value: object) -> Fraction:
 def parse_rational(text: str) -> Fraction:
     """Parse a "p/q", integer or decimal string such as "1.5e-3" exactly.
 
-    A Unicode minus sign is treated as ASCII "-".  Decimal exponents
-    beyond MAX_DECIMAL_EXPONENT in magnitude are refused, matching the
-    4300-digit limit CPython puts on integer strings.
+    A Unicode minus sign is treated as ASCII "-"; any other non-ASCII
+    character, such as a digit of another script, and "_" are refused,
+    so the grammar is the same on every Python version.  Decimal
+    exponents beyond MAX_DECIMAL_EXPONENT in magnitude are refused,
+    matching the 4300-digit limit CPython puts on integer strings.
     """
     cleaned = text.replace("−", "-").strip()
+    if not cleaned.isascii() or "_" in cleaned:
+        raise GameFormatError(
+            f"cannot parse rational string {_shown(text)}: use ASCII digits, no underscores"
+        )
     exponent = _EXPONENT.search(cleaned)
     try:
         if exponent is None or abs(int(exponent.group(1))) <= MAX_DECIMAL_EXPONENT:
@@ -197,6 +203,8 @@ class GameSpace(_Value):
         if len(s) != self.n:
             raise ValueError(f"profile {s} has {len(s)} entries, expected {self.n}")
         for i, (choice, count) in enumerate(zip(s, self.strategy_counts), start=1):
+            if not isinstance(choice, int) or isinstance(choice, bool):
+                raise ValueError(f"player {i} strategy {choice!r} is not an integer")
             if not 1 <= choice <= count:
                 raise ValueError(f"player {i} strategy {choice} out of range 1..{count}")
         return s

@@ -3,21 +3,23 @@
 The payoff space of a signature [n; k_1..k_n] splits orthogonally into
 pure potential, nonstrategic and pure harmonic parts.  The operators of
 the split lie in the commutative algebra of the averaging operators
-M_i = e_i/k_i.  An Element {frozenset S: c_S} stands for sum_S c_S M_S,
-M_S = prod_{i in S} M_i; apply_element() applies one to a payoff row by
-chaining along-axis means over GameSpace.lines, with no matrix, and
-decompose.py uses only that.
+M_i = e_i/k_i, and R^k splits into ANOVA parts V_T, T a set of players
+with k_i >= 2 (Efron & Stein 1981), on which M_i is 0 if i is in T and
+1 otherwise.  So each operator is one scalar per V_T: the group inverse
+X of sum_i (I - M_i) is 1/|T|, and 0 on the constants.  Players with
+one strategy have M_i = I and play no part.
 
-The dense matrices come from ANOVA tables.  R^k splits into parts V_T,
-T a set of players with k_i >= 2 (Efron & Stein 1981), on which M_i is
-0 if i is in T and 1 otherwise, so an element is one scalar per V_T
-(the group inverse X is 1/|T|, and 0 on the constants), listed by the
-bit mask of T; players with one strategy have M_i = I and take no bit.
-_densify_blocks() writes the entries as int numerators over one
-denominator, its bit masks indexing profiles on their own.  The dense
-ProjectorSet serves `project` and the oracles; so do the Kronecker-built
-E_i, e_i, B_N, B_P and P_N, and two routes to X in the M_S basis.
-Nothing is cached: a bundle is built on each call.
+average() applies one M_i to a payoff row by along-axis means over
+GameSpace.lines, with no matrix, and apply_group_inverse() applies X by
+splitting the row by grade |T| with one M_i per player and grade;
+decompose.py uses only these.  The dense matrices are written from the
+same ANOVA tables, listed by the bit mask of T: _densify_blocks() writes
+the entries as int numerators over one denominator, its bit masks
+indexing profiles on their own.  The dense ProjectorSet serves `project`
+and the oracles; so do the Kronecker-built E_i, e_i, B_N, B_P and P_N.
+The last section keeps the M_S basis, sum_S c_S M_S with M_S =
+prod_{i in S} M_i, only for the two oracle routes to X of acceptance
+criterion 2.  Nothing is cached: a bundle is built on each call.
 """
 
 from __future__ import annotations
@@ -30,8 +32,6 @@ from itertools import combinations
 
 from gamedecomp.games import GameSpace, _Value
 from gamedecomp.linalg import Matrix, block_diag, hstack, kron, solve_linear, vstack
-
-Element = dict[frozenset[int], Fraction]
 
 
 class SubspaceKind(Enum):
@@ -97,7 +97,7 @@ def build_P_N(space: GameSpace) -> Matrix:
     return vstack([identity - build_e(space, i) * Fraction(1, c) for i, c in counts])
 
 
-# -- elements of the algebra -----------------------------------------------
+# -- the algebra applied to payoff rows ------------------------------------
 
 
 def axis_means(space: GameSpace, row: Sequence[Fraction], player: int) -> list[Fraction]:
@@ -115,94 +115,26 @@ def average(space: GameSpace, row: Sequence[Fraction], player: int) -> list[Frac
     return out
 
 
-def apply_element(space: GameSpace, element: Element, row: Sequence[Fraction]) -> list[Fraction]:
-    """sum_S c_S M_S @ row, each M_S @ row a chain of along-axis means."""
-    averaged: dict[frozenset[int], Sequence[Fraction]] = {frozenset(): row}
+def apply_group_inverse(space: GameSpace, row: Sequence[Fraction]) -> list[Fraction]:
+    """X @ row: the row's component in each ANOVA part V_T, divided by |T|.
 
-    def chain(subset: frozenset[int]) -> Sequence[Fraction]:
-        if subset not in averaged:
-            last = max(subset)
-            averaged[subset] = average(space, chain(subset - {last}), last)
-        return averaged[subset]
-
+    grades[c] is the row's component in the V_T with |T| = c over the players
+    handled so far.  Each effective player i splits every grade into its
+    part off i's axis, M_i g_c, which keeps the grade, and the rest,
+    g_c - M_i g_c, which moves one grade up; players with one strategy
+    have M_i = I and change nothing.
+    """
+    grades = [list(row)]
+    for player in _player_bits(space):
+        kept = [average(space, g, player) for g in grades]
+        moved = [[x - m for x, m in zip(g, a)] for g, a in zip(grades, kept)]
+        grades = [kept[0]]
+        grades += ([x + y for x, y in zip(a, m)] for a, m in zip(kept[1:], moved))
+        grades.append(moved[-1])
     out = [Fraction(0)] * space.k
-    for subset, weight in element.items():
-        out = [acc + weight * x for acc, x in zip(out, chain(subset))]
+    for c, g in enumerate(grades[1:], start=1):
+        out = [acc + x / c for acc, x in zip(out, g)]
     return out
-
-
-def closed_form_coefficients(n: int) -> Element:
-    """The group inverse X of sum_i (I - M_i), as an element of the algebra.
-
-    X equals
-
-        sum over proper subsets S of {1..n} of
-            1 / ((n - |S|) * C(n, |S|)) * M_S
-      - (1 + 1/2 + ... + 1/n) * M_{1..n}
-
-    whatever the strategy counts; this returns the weight attached to
-    each subset (the empty subset weighs the identity).
-    """
-    if n < 1:
-        raise ValueError("need at least one player")
-    coeffs: Element = {
-        s: Fraction(1, (n - len(s)) * math.comb(n, len(s))) for s in _ordered_subsets(n)[:-1]
-    }
-    coeffs[frozenset(range(1, n + 1))] = -sum(Fraction(1, i) for i in range(1, n + 1))
-    return coeffs
-
-
-def _ordered_subsets(n: int) -> list[frozenset[int]]:
-    return [frozenset(c) for size in range(n + 1) for c in combinations(range(1, n + 1), size)]
-
-
-def group_inverse_element(space: GameSpace) -> Element:
-    """X over the players with two or more strategies; M_i = I drops the others out."""
-    players = list(_player_bits(space))
-    coeffs = closed_form_coefficients(len(players)) if players else {}
-    return {frozenset(players[i - 1] for i in s): c for s, c in coeffs.items()}
-
-
-def _multiply(left: Element, right: Element) -> Element:
-    """Product of two elements: M_S @ M_T = M_{S|T}, zero weights dropped."""
-    out: Element = {}
-    for s, a in left.items():
-        for t, b in right.items():
-            out[s | t] = out.get(s | t, Fraction(0)) + a * b
-    return {key: value for key, value in out.items() if value != 0}
-
-
-def _densify(space: GameSpace, element: Element) -> Matrix:
-    """The k x k matrix of sum_S c_S M_S: on V_T, the sum of the c_S with S disjoint from T."""
-    bits = _player_bits(space)
-    weighted = [(sum(bits.get(i, 0) for i in s), c) for s, c in element.items()]
-    table = [sum(c for s, c in weighted if not s & t) for t in range(1 << len(bits))]
-    return _densify_blocks(space, {None: table}, [[None]])
-
-
-def group_inverse_closed_form(space: GameSpace) -> Matrix:
-    """The k x k group inverse X via the closed-form subset sum."""
-    return _densify(space, closed_form_coefficients(space.n))
-
-
-def group_inverse_solve_route(space: GameSpace) -> Matrix:
-    """The same X, found by solving A @ A @ X = A inside the algebra.
-
-    A = n I - sum_i M_i lives in the algebra spanned by the M_S, so the
-    defining equation becomes a 2^n x 2^n rational solve; the group
-    inverse is then A @ X @ X.  Raises RuntimeError if the solve fails,
-    which no well-formed space produces.
-    """
-    subsets = _ordered_subsets(space.n)
-    a_elem = {s: Fraction(space.n if not s else -1) for s in subsets[: space.n + 1]}
-    a_squared = _multiply(a_elem, a_elem)
-    images = [_multiply(a_squared, {s: Fraction(1)}) for s in subsets]
-    coefficient_matrix = Matrix([[image.get(s, 0) for image in images] for s in subsets])
-    solved = solve_linear(coefficient_matrix, Matrix.column([a_elem.get(s, 0) for s in subsets]))
-    if solved is None:
-        raise RuntimeError("group-inverse equation is inconsistent in the algebra")
-    x_elem = dict(zip(subsets, solved.column_tuple(0)))
-    return _densify(space, _multiply(a_elem, _multiply(x_elem, x_elem)))
 
 
 # -- the projector bundle ------------------------------------------------
@@ -353,3 +285,75 @@ def build_projectors(space: GameSpace) -> ProjectorSet:
 def _check_player(space: GameSpace, player: int) -> None:
     if not 1 <= player <= space.n:
         raise ValueError(f"player {player} out of range 1..{space.n}")
+
+
+# -- the M_S basis: oracle routes to X (acceptance criterion 2) ---------
+
+Element = dict[frozenset[int], Fraction]
+
+
+def closed_form_coefficients(n: int) -> Element:
+    """The group inverse X of sum_i (I - M_i), as an element of the algebra.
+
+    X equals
+
+        sum over proper subsets S of {1..n} of
+            1 / ((n - |S|) * C(n, |S|)) * M_S
+      - (1 + 1/2 + ... + 1/n) * M_{1..n}
+
+    whatever the strategy counts; this returns the weight attached to
+    each subset (the empty subset weighs the identity).
+    """
+    if n < 1:
+        raise ValueError("need at least one player")
+    coeffs: Element = {
+        s: Fraction(1, (n - len(s)) * math.comb(n, len(s))) for s in _ordered_subsets(n)[:-1]
+    }
+    coeffs[frozenset(range(1, n + 1))] = -sum(Fraction(1, i) for i in range(1, n + 1))
+    return coeffs
+
+
+def _ordered_subsets(n: int) -> list[frozenset[int]]:
+    return [frozenset(c) for size in range(n + 1) for c in combinations(range(1, n + 1), size)]
+
+
+def _multiply(left: Element, right: Element) -> Element:
+    """Product of two elements: M_S @ M_T = M_{S|T}, zero weights dropped."""
+    out: Element = {}
+    for s, a in left.items():
+        for t, b in right.items():
+            out[s | t] = out.get(s | t, Fraction(0)) + a * b
+    return {key: value for key, value in out.items() if value != 0}
+
+
+def _densify(space: GameSpace, element: Element) -> Matrix:
+    """The k x k matrix of sum_S c_S M_S: on V_T, the sum of the c_S with S disjoint from T."""
+    bits = _player_bits(space)
+    weighted = [(sum(bits.get(i, 0) for i in s), c) for s, c in element.items()]
+    table = [sum(c for s, c in weighted if not s & t) for t in range(1 << len(bits))]
+    return _densify_blocks(space, {None: table}, [[None]])
+
+
+def group_inverse_closed_form(space: GameSpace) -> Matrix:
+    """The k x k group inverse X via the closed-form subset sum."""
+    return _densify(space, closed_form_coefficients(space.n))
+
+
+def group_inverse_solve_route(space: GameSpace) -> Matrix:
+    """The same X, found by solving A @ A @ X = A inside the algebra.
+
+    A = n I - sum_i M_i lives in the algebra spanned by the M_S, so the
+    defining equation becomes a 2^n x 2^n rational solve; the group
+    inverse is then A @ X @ X.  Raises RuntimeError if the solve fails,
+    which no well-formed space produces.
+    """
+    subsets = _ordered_subsets(space.n)
+    a_elem = {s: Fraction(space.n if not s else -1) for s in subsets[: space.n + 1]}
+    a_squared = _multiply(a_elem, a_elem)
+    images = [_multiply(a_squared, {s: Fraction(1)}) for s in subsets]
+    coefficient_matrix = Matrix([[image.get(s, 0) for image in images] for s in subsets])
+    solved = solve_linear(coefficient_matrix, Matrix.column([a_elem.get(s, 0) for s in subsets]))
+    if solved is None:
+        raise RuntimeError("group-inverse equation is inconsistent in the algebra")
+    x_elem = dict(zip(subsets, solved.column_tuple(0)))
+    return _densify(space, _multiply(a_elem, _multiply(x_elem, x_elem)))

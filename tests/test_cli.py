@@ -232,6 +232,23 @@ def test_huge_exponent_rejected_in_payoffs_and_shift(tmp_path, capsys):
     assert json.loads(out)["shift"] == "-9/8"
 
 
+def test_non_ascii_digits_and_underscores_rejected_in_payoffs_and_shift(tmp_path, capsys):
+    # "1e٥٠٠٠" would otherwise pass the exponent bound and fail late,
+    # and "1_000" would parse on some Python versions only
+    game_path = write_game(tmp_path, symmetric_222(1, 1, 2, -1, 1, -1))
+    for text in ("1e٥٠٠٠", "1e５０００", "1_000"):
+        path = tmp_path / "digits.json"
+        doc = {"players": 1, "strategies": [2], "payoffs": [[text, 0]]}
+        path.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+        code, out, err = run_cli(capsys, "decompose", str(path))
+        assert (code, out) == (1, "")
+        assert "ASCII digits, no underscores" in err
+        with pytest.raises(SystemExit) as excinfo:
+            main(["potential", game_path, f"--shift={text}"])
+        assert excinfo.value.code == 2
+        assert "ASCII digits, no underscores" in capsys.readouterr().err
+
+
 def test_project_requires_space(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["project", "--kind", "potential"])

@@ -190,6 +190,16 @@ def test_potential_function_reproduces_worked_example():
     assert shifted.values == (-2, -1, -1, -1, -1, -1, -1, -1)
 
 
+def test_shift_must_be_rational():
+    # a float would carry its binary value into the exact results
+    result = potential_function(symmetric_222(1, 1, 2, -1, 1, -1))
+    assert result.shifted(Fraction(1, 8)).values[0] == Fraction(-3, 4)
+    assert result.shifted(1).values[0] == Fraction(1, 8)
+    for constant in (0.1, True, "1/2"):
+        with pytest.raises(TypeError, match="rational"):
+            result.shifted(constant)
+
+
 def test_potential_function_of_nonstrategic_game_is_constant():
     rng = random.Random(435)
     space = GameSpace((2, 2, 2))
@@ -324,6 +334,10 @@ def padded_game(index: int) -> Game:
     return random_game(random.Random(index), PADDED[index])
 
 
+# spaces() draws at most four players; X here runs up to grade five
+FIVE_PLAYERS = random_game(random.Random(5), GameSpace((2,) * 5))
+
+
 @lru_cache(maxsize=None)
 def oracle_group_inverse(counts: tuple[int, ...]) -> Matrix:
     """X by the dense defining-equation solve on sum_i (I - e_i/k_i)."""
@@ -339,6 +353,7 @@ def oracle_group_inverse(counts: tuple[int, ...]) -> Matrix:
 @example(padded_game(0))
 @example(padded_game(1))
 @example(padded_game(2))
+@example(FIVE_PLAYERS)
 def test_decompose_equals_dense_projections(game):
     bundle = build_projectors(game.space)
     u = game.structure_vector()
@@ -368,6 +383,7 @@ def test_is_member_equals_dense_fixed_point(game):
 @example(padded_game(0))
 @example(padded_game(1))
 @example(padded_game(2))
+@example(FIVE_PLAYERS)
 def test_raw_potential_vector_equals_dense_route(game):
     x = oracle_group_inverse(game.space.strategy_counts)
     expected = x @ build_P_N(game.space).T @ game.structure_vector()
@@ -444,9 +460,11 @@ def test_densified_subset_product_is_scaled_e_set(space):
 def test_one_strategy_players_add_no_subset_work(monkeypatch):
     # every table has one entry per set of players with two or more
     # strategies, a build turns one table per projection and distinct
-    # (bit_i, bit_j, i == j) into entries, and decompose averages
-    # O(n + 2^n_eff) times; the checks fail on the first excess call, so
-    # a route that scales with all players fails here instead of running on
+    # (bit_i, bit_j, i == j) into entries, and decompose averages 2n
+    # times plus once per effective player and grade for X; the checks
+    # fail on the first excess call, so a route that scales with all
+    # players, or with the subsets of the effective ones, fails here
+    # instead of running on
     real_entry_values, real_average = projectors._entry_values, projectors.average
     budget = {}
 
@@ -466,14 +484,14 @@ def test_one_strategy_players_add_no_subset_work(monkeypatch):
     monkeypatch.setattr(projectors, "average", average)
     # the package exports the function decompose under its module's name
     monkeypatch.setattr(importlib.import_module("gamedecomp.decompose"), "average", average)
-    for counts in [(2, 1, 1, 1, 1, 3), (2, 2) + (1,) * 10, (1,) * 4096]:
+    for counts in [(2, 1, 1, 1, 1, 3), (2, 2) + (1,) * 10, (1,) * 4096, (2,) * 6]:
         space = GameSpace(counts)
         n_eff = sum(c > 1 for c in counts)
         budget["table"] = 2**n_eff
         budget["tables"] = 5 * ((n_eff + 1) ** 2 + n_eff + 1) + 1
         if space.payoff_cells <= 100:
             build_projectors(space)
-        budget["averages"] = 2 * space.n + 2**n_eff
+        budget["averages"] = 2 * space.n + n_eff * (n_eff + 1) // 2
         game = random_game(random.Random(len(counts)), space)
         assert decompose(game).total() == game
 
