@@ -6,8 +6,8 @@ projection route independently.  The Nash side covers exhaustive pure
 equilibrium enumeration, the uniformly-mixed equilibrium test, the
 zero-payoff characterization of pure equilibria in pure harmonic
 games, and the dimension of the pure-harmonic games having a chosen
-profile as a pure equilibrium.  Every definition runs along players'
-own-strategy lines, which come from GameSpace.lines and line.
+profile as a pure equilibrium, a closed form in the strategy counts.
+Every check runs along own-strategy lines from GameSpace.lines and line.
 """
 
 from __future__ import annotations
@@ -16,8 +16,7 @@ from collections.abc import Sequence
 
 from gamedecomp.decompose import PotentialFunction, differs_by_constant
 from gamedecomp.games import Game, GameSpace, _Value
-from gamedecomp.linalg import Matrix, block_diag, hstack, rank, vstack
-from gamedecomp.projectors import build_E
+from gamedecomp.projectors import SubspaceKind, subspace_dimension
 
 
 class NashReport(_Value):
@@ -125,23 +124,20 @@ def harmonic_pure_nash_zero_check(game: Game, profile: Sequence[int]) -> bool:
 def harmonic_nash_kernel_dim(space: GameSpace, profile: Sequence[int]) -> int:
     """Dimension of the pure-harmonic games with the profile as pure Nash.
 
-    Stacks three constraint blocks on payoff space: the row of n
-    identities (payoffs sum to zero per profile), the block diagonal of
-    the E_i transposes (own-axis sums zero), and the block diagonal of
-    profile selectors (player i's payoffs vanish on the own-strategy
-    line through the profile).  The games in question form the kernel,
-    so the dimension is n*k minus the stack's rank.
+    They are the pure harmonic games vanishing on each player i's own-strategy
+    line through the profile s (see harmonic_pure_nash_zero_check).  Their
+    restrictions to those lines lie in W = {each v_i sums to 0, v_i = 0 when
+    k_i = 1, sum_i v_i(s_i) = 0}, of dimension sum_i (k_i - 1) - 1, and the
+    2x2 zero-sum cycles on pairs of players with k_i >= 2 are pure harmonic
+    and restrict onto a spanning set of W.  So the dimension is the pure
+    harmonic one minus dim W, for every s; with fewer than two such players
+    the pure harmonic space is {0}.
     """
-    index = space.profile_index(profile) - 1
-    players = range(1, space.n + 1)
-    identity = Matrix.identity(space.k)
-    identity_row = hstack([identity] * space.n)
-    lift_block = block_diag([build_E(space, i).T for i in players])
-    selector_block = block_diag(
-        [Matrix.from_numerators(identity.numerators[space.line(i, index)], 1) for i in players]
-    )
-    stacked = vstack([identity_row, lift_block, selector_block])
-    return space.payoff_cells - rank(stacked)
+    space.check_profile(profile)
+    reduced = [count - 1 for count in space.strategy_counts if count > 1]
+    if len(reduced) < 2:
+        return 0
+    return subspace_dimension(space, SubspaceKind.PURE_HARMONIC) - sum(reduced) + 1
 
 
 def nash_report(game: Game) -> NashReport:

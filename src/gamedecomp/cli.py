@@ -35,11 +35,9 @@ from gamedecomp.games import (
     MalformedDocumentError,
     _cut,
     _format_rational,
-    _shown,
     parse_game,
-    parse_rational,
 )
-from gamedecomp.linalg import Matrix, mp_inverse
+from gamedecomp.linalg import Matrix, _shown, mp_inverse, parse_rational
 from gamedecomp.projectors import (
     SubspaceKind,
     build_B_N,
@@ -89,7 +87,7 @@ def _parse_space(text: str) -> GameSpace:
 def _parse_rational(text: str) -> Fraction:
     try:
         return parse_rational(text)
-    except GameFormatError as exc:
+    except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 

@@ -22,17 +22,14 @@ from __future__ import annotations
 import json
 import math
 import operator
-import re
 from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from itertools import accumulate, product
 
-from gamedecomp.linalg import Matrix
+from gamedecomp.linalg import Matrix, parse_rational
 
 DEFAULT_CELL_CAP = 4096
-MAX_DECIMAL_EXPONENT = 4300
 _ZERO = Fraction(0)
-_EXPONENT = re.compile(r"[eE]([-+]?[0-9]+)$")
 
 
 class GameFormatError(ValueError):
@@ -70,36 +67,11 @@ def as_rational(value: object) -> Fraction:
             '(e.g. "3/4" or "0.75") to keep arithmetic exact'
         )
     if isinstance(value, str):
-        return parse_rational(value)
+        try:
+            return parse_rational(value)
+        except ValueError as exc:
+            raise GameFormatError(str(exc)) from None
     raise GameFormatError(f"unsupported payoff type {type(value).__name__}")
-
-
-def parse_rational(text: str) -> Fraction:
-    """Parse a "p/q", integer or decimal string such as "1.5e-3" exactly.
-
-    A Unicode minus sign is treated as ASCII "-"; any other non-ASCII
-    character, such as a digit of another script, and "_" are refused,
-    so the grammar is the same on every Python version.  Decimal
-    exponents beyond MAX_DECIMAL_EXPONENT in magnitude are refused,
-    matching the 4300-digit limit CPython puts on integer strings.
-    """
-    cleaned = text.replace("−", "-").strip()
-    if not cleaned.isascii() or "_" in cleaned:
-        raise GameFormatError(
-            f"cannot parse rational string {_shown(text)}: use ASCII digits, no underscores"
-        )
-    exponent = _EXPONENT.search(cleaned)
-    try:
-        if exponent is None or abs(int(exponent.group(1))) <= MAX_DECIMAL_EXPONENT:
-            return Fraction(cleaned)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise GameFormatError(f"cannot parse rational string {_shown(text)}: {exc}") from None
-    raise GameFormatError(f"decimal exponent of {_shown(text)} exceeds {MAX_DECIMAL_EXPONENT}")
-
-
-def _shown(text: str) -> str:
-    """The text for an error message, quoted and cut to its first 40 characters."""
-    return repr(text) if len(text) <= 40 else f"{text[:40]!r}..."
 
 
 def _cut(text: str) -> str:
@@ -209,6 +181,18 @@ class GameSpace(_Value):
                 raise ValueError(f"player {i} strategy {choice} out of range 1..{count}")
         return s
 
+    def check_player(self, player: int) -> int:
+        """Return player if it is an int (not a bool) in 1..n; raise ValueError otherwise."""
+        if type(player) is not int or not 1 <= player <= self.n:
+            raise ValueError(f"player {player!r} is not an integer in 1..{self.n}")
+        return player
+
+    def _check_index(self, index: int, first: int) -> None:
+        """Refuse, as check_player does, a profile index outside first..first + k - 1."""
+        last = first + self.k - 1
+        if type(index) is not int or not first <= index <= last:
+            raise ValueError(f"profile index {index!r} is not an integer in {first}..{last}")
+
     def profile_index(self, profile: Sequence[int]) -> int:
         """1-based position of a profile in index order.
 
@@ -221,8 +205,7 @@ class GameSpace(_Value):
 
     def index_profile(self, index: int) -> tuple[int, ...]:
         """Inverse of profile_index."""
-        if not 1 <= index <= self.k:
-            raise ValueError(f"profile index {index} out of range 1..{self.k}")
+        self._check_index(index, 1)
         rem = index - 1
         digits = []
         for stride in self._strides:
@@ -247,15 +230,14 @@ class GameSpace(_Value):
 
     def line(self, player: int, index: int) -> slice:
         """The own-strategy line of player through the profile at 0-based index."""
+        self._check_index(index, 0)
         stride, block = self._axis(player)
         start = index - index % block
         return slice(start + index % stride, start + block, stride)
 
     def _axis(self, player: int) -> tuple[int, int]:
         """Index stride of player's choice, and the span of one sweep of it."""
-        if not 1 <= player <= self.n:
-            raise ValueError(f"player {player} out of range 1..{self.n}")
-        stride = self._strides[player - 1]
+        stride = self._strides[self.check_player(player) - 1]
         return stride, stride * self.strategy_counts[player - 1]
 
 
@@ -348,9 +330,8 @@ class Game(_Value):
 
     def payoff(self, player: int, profile: Sequence[int]) -> Fraction:
         """Player's payoff at a pure profile (both 1-based)."""
-        if not 1 <= player <= self.space.n:
-            raise ValueError(f"player {player} out of range 1..{self.space.n}")
-        return self.payoff_rows[player - 1][self.space.profile_index(profile) - 1]
+        row = self.payoff_rows[self.space.check_player(player) - 1]
+        return row[self.space.profile_index(profile) - 1]
 
     def expected_payoff(self, player: int, mixed: MixedProfile) -> Fraction:
         """Expected payoff under independent mixing, computed exactly."""
@@ -360,7 +341,7 @@ class Game(_Value):
             if len(row) != count:
                 raise ValueError("mixed profile does not match the space")
         total = Fraction(0)
-        row = self.payoff_rows[player - 1]
+        row = self.payoff_rows[self.space.check_player(player) - 1]
         for idx, profile in enumerate(self.space.profiles()):
             weight = math.prod(
                 (mixed.weights[i][choice - 1] for i, choice in enumerate(profile)),

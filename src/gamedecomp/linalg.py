@@ -6,7 +6,7 @@ numerators have no common factor, so the zero matrix has denominator
 1.  Two matrices are equal exactly when their denominators and
 numerators are, and every result in this module is exact: rank
 decisions never depend on a tolerance.  Entries read back as
-`fractions.Fraction`; floats and bools are refused at construction.
+`fractions.Fraction`; floats and bools are refused, and strings go through parse_rational.
 
 Every operation runs on Python ints: a product takes integer dot
 products over the product of the denominators and reduces the result
@@ -23,6 +23,7 @@ the Kronecker and semitensor products.
 from __future__ import annotations
 
 import math
+import re
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from itertools import chain
@@ -32,16 +33,46 @@ Scalar = int | Fraction
 Rows = tuple[tuple[int, ...], ...]
 
 _ZERO = Fraction(0)
+MAX_DECIMAL_EXPONENT = 4300
+_EXPONENT = re.compile(r"[eE]([-+]?[0-9]+)$")
+
+
+def parse_rational(text: str) -> Fraction:
+    """Parse a "p/q", integer or decimal string such as "1.5e-3" exactly.
+
+    A Unicode minus sign is treated as ASCII "-"; any other non-ASCII
+    character, such as a digit of another script, and "_" are refused,
+    so the grammar is the same on every Python version.  Decimal
+    exponents beyond MAX_DECIMAL_EXPONENT in magnitude are refused,
+    matching the 4300-digit limit CPython puts on integer strings.
+    """
+    cleaned = text.replace("−", "-").strip()
+    if not cleaned.isascii() or "_" in cleaned:
+        raise ValueError(
+            f"cannot parse rational string {_shown(text)}: use ASCII digits, no underscores"
+        )
+    exponent = _EXPONENT.search(cleaned)
+    try:
+        if exponent is None or abs(int(exponent.group(1))) <= MAX_DECIMAL_EXPONENT:
+            return Fraction(cleaned)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"cannot parse rational string {_shown(text)}: {exc}") from None
+    raise ValueError(f"decimal exponent of {_shown(text)} exceeds {MAX_DECIMAL_EXPONENT}")
+
+
+def _shown(text: str) -> str:
+    """The text for an error message, quoted and cut to its first 40 characters."""
+    return repr(text) if len(text) <= 40 else f"{text[:40]!r}..."
 
 
 def _entry(value: object) -> int | Fraction:
-    """Check one matrix entry, refusing inexact types; strings become Fractions."""
+    """Check one matrix entry, refusing inexact types; strings take parse_rational."""
     if isinstance(value, bool):
         raise TypeError("matrix entries must be rational numbers, not bool")
     if isinstance(value, (int, Fraction)):
         return value
     if isinstance(value, str):
-        return Fraction(value)
+        return parse_rational(value)
     raise TypeError(f"matrix entries must be exact rationals, got {type(value).__name__}")
 
 

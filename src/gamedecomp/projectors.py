@@ -50,7 +50,7 @@ def build_E(space: GameSpace, player: int) -> Matrix:
     E_i.T averages nothing; it sums player i's strategy axis.  Shape is
     k x (k/k_i), and E_i.T @ E_i = k_i * I.
     """
-    _check_player(space, player)
+    space.check_player(player)
     before = Matrix.identity(space.k_between(1, player - 1))
     ones = Matrix.ones(space.strategy_counts[player - 1], 1)
     after = Matrix.identity(space.k_between(player + 1, space.n))
@@ -69,9 +69,7 @@ def build_e_set(space: GameSpace, players: Iterable[int]) -> Matrix:
     on each listed player's axis and identity elsewhere.  The empty
     subset gives I_k, the full subset the all-ones k x k matrix.
     """
-    chosen = set(players)
-    for player in chosen:
-        _check_player(space, player)
+    chosen = {space.check_player(player) for player in players}
     out = Matrix.identity(1)
     for i, count in enumerate(space.strategy_counts, start=1):
         factor = Matrix.ones(count, count) if i in chosen else Matrix.identity(count)
@@ -280,11 +278,6 @@ def build_projectors(space: GameSpace) -> ProjectorSet:
         potential=projection(0, 1, 1),
         harmonic=projection(1, 0, -1),
     )
-
-
-def _check_player(space: GameSpace, player: int) -> None:
-    if not 1 <= player <= space.n:
-        raise ValueError(f"player {player} out of range 1..{space.n}")
 
 
 # -- the M_S basis: oracle routes to X (acceptance criterion 2) ---------

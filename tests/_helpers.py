@@ -3,13 +3,15 @@ reference games, naive Fraction-based product, entrywise, stacking,
 elimination and back-substitution oracles kept independent of the
 package's integer kernels, and brute-force Nash and potential checks
 that enumerate deviations through profile_index and expected_payoff,
-independent of GameSpace.lines, and the dense Bareiss solve of the
-potential equation that its path-sum route is pinned to."""
+independent of GameSpace.lines, the dense Bareiss solve of the
+potential equation that its path-sum route is pinned to, and the dense
+rank that the closed-form harmonic Nash kernel dimension is pinned to."""
 
 from __future__ import annotations
 
 import math
 import random
+from collections.abc import Sequence
 from fractions import Fraction
 
 from hypothesis import settings
@@ -17,7 +19,7 @@ from hypothesis import strategies as st
 
 from gamedecomp.decompose import PotentialFunction
 from gamedecomp.games import Game, GameSpace, MixedProfile
-from gamedecomp.linalg import Matrix, hstack, solve_linear, vstack
+from gamedecomp.linalg import Matrix, block_diag, hstack, rank, solve_linear, vstack
 from gamedecomp.projectors import build_E
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
@@ -293,3 +295,28 @@ def dense_potential_equation(game: Game) -> PotentialFunction | None:
         start += width
     phi = Matrix.column(game.payoff_rows[0]) - lifts[0] @ Matrix.column(offsets[0])
     return PotentialFunction(values=phi.column_tuple(0), player_offsets=tuple(offsets))
+
+
+# -- the dense harmonic Nash kernel -----------------------------------------
+
+
+def dense_harmonic_nash_kernel_dim(space: GameSpace, profile: Sequence[int]) -> int:
+    """Dimension of the pure-harmonic games with the profile as pure Nash.
+
+    Stacks three constraint blocks on payoff space: the row of n
+    identities (payoffs sum to zero per profile), the block diagonal of
+    the E_i transposes (own-axis sums zero), and the block diagonal of
+    profile selectors (player i's payoffs vanish on the own-strategy
+    line through the profile).  The games in question form the kernel,
+    so the dimension is n*k minus the stack's rank.
+    """
+    index = space.profile_index(profile) - 1
+    players = range(1, space.n + 1)
+    identity = Matrix.identity(space.k)
+    identity_row = hstack([identity] * space.n)
+    lift_block = block_diag([build_E(space, i).T for i in players])
+    selector_block = block_diag(
+        [Matrix.from_numerators(identity.numerators[space.line(i, index)], 1) for i in players]
+    )
+    stacked = vstack([identity_row, lift_block, selector_block])
+    return space.payoff_cells - rank(stacked)

@@ -4,19 +4,23 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from _helpers import (
     PROPERTY,
     brute_potential_defn,
     brute_pure_nash,
     brute_uniform_mixed_nash,
+    dense_harmonic_nash_kernel_dim,
     games,
     random_game,
     rps_game,
+    spaces,
     symmetric_222,
     symmetric_33,
 )
+from gamedecomp import linalg
 from gamedecomp.analysis import (
     check_harmonic_defn,
     check_nonstrategic_defn,
@@ -221,6 +225,31 @@ def test_kernel_dim_below_harmonic_dimension():
     space = GameSpace((3, 3))
     dim = harmonic_nash_kernel_dim(space, (1, 1))
     assert dim < subspace_dimension(space, SubspaceKind.PURE_HARMONIC)
+
+
+@PROPERTY
+@given(spaces(), st.integers(min_value=0))
+@example(GameSpace((1,)), 0)
+@example(GameSpace((4,)), 2)
+@example(GameSpace((3, 1, 1)), 1)
+@example(GameSpace((2, 2) + (1,) * 6), 3)
+@example(GameSpace((2,) * 5), 21)
+def test_kernel_dim_closed_form_equals_dense_rank(space, seed):
+    profile = space.index_profile(1 + seed % space.k)
+    dim = harmonic_nash_kernel_dim(space, profile)
+    assert dim == dense_harmonic_nash_kernel_dim(space, profile)
+
+
+def test_kernel_dim_builds_no_matrix(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense matrix route used")
+
+    monkeypatch.setattr(Matrix, "__init__", refuse)
+    monkeypatch.setattr(Matrix, "_canonical", refuse)
+    monkeypatch.setattr(linalg, "rank", refuse)
+    assert harmonic_nash_kernel_dim(GameSpace((2,) * 8), (2, 1) * 4) == 762
+    # two players give (k_1 - 2)(k_2 - 2)
+    assert harmonic_nash_kernel_dim(GameSpace((45, 45)), (1, 45)) == 43 * 43
 
 
 def test_kernel_contains_exactly_the_zero_check_games():

@@ -18,10 +18,10 @@ from gamedecomp.games import (
     SpaceCapError,
     as_rational,
     parse_game,
-    parse_rational,
     serialize_game,
 )
 from gamedecomp.linalg import Matrix, stp
+from gamedecomp.projectors import build_E
 
 
 def test_space_validation():
@@ -120,6 +120,30 @@ def test_profile_entries_must_be_integers():
             space.profile_index(profile)
     with pytest.raises(ValueError, match="is not an integer"):
         MixedProfile.pure(space, (1, False))
+
+
+def test_player_numbers_and_profile_indices_must_be_integers():
+    # a float or bool came back as a float profile or slice, or as player 1,
+    # and expected_payoff read player 0 as the last player
+    space = GameSpace((2, 3))
+    game = Game.zero(space)
+    refused = [
+        lambda: space.index_profile(1.5),
+        lambda: space.index_profile(True),
+        lambda: space.line(1, 2.5),
+        lambda: space.line(1, 6),
+        lambda: space.line(True, 0),
+        lambda: space.lines(True),
+        lambda: space.lines(2.0),
+        lambda: game.payoff(True, (1, 1)),
+        lambda: game.expected_payoff(0, MixedProfile.uniform(space)),
+        lambda: build_E(space, True),
+    ]
+    for call in refused:
+        with pytest.raises(ValueError, match="is not an integer in"):
+            call()
+    assert space.check_player(2) == 2
+    assert space.line(2, 5) == slice(3, 6, 1)
 
 
 def test_payoff_lookup():
@@ -271,15 +295,15 @@ def test_parse_rational_and_decimal_strings():
 
 
 def test_decimal_exponent_is_bounded():
-    assert parse_rational("1e4300") == 10**4300
-    assert parse_rational("-2.5E-4300") == Fraction(-25, 10**4301)
+    assert as_rational("1e4300") == 10**4300
+    assert as_rational("-2.5E-4300") == Fraction(-25, 10**4301)
     for text in ("1e5000", "1.5e-100000", "1e4301", "-1E+4301"):
         with pytest.raises(GameFormatError, match="exponent"):
             as_rational(text)
     # beyond CPython's 4300-digit integer limit the exponent itself is unreadable
     for text in ("1e" + "9" * 5000, "1" * 5000, "1/" + "1" * 5000):
         with pytest.raises(GameFormatError):
-            parse_rational(text)
+            as_rational(text)
     doc = '{"players": 1, "strategies": [2], "payoffs": [["1e5000", 0]]}'
     with pytest.raises(MalformedDocumentError, match="exponent"):
         parse_game(doc)
@@ -288,10 +312,10 @@ def test_decimal_exponent_is_bounded():
 def test_rational_strings_are_ascii_without_underscores():
     # Fraction reads other scripts' digits and, from Python 3.11, "_";
     # the exponent bound reads only ASCII, so both are refused up front
-    assert parse_rational(" −3/4 ") == Fraction(-3, 4)
+    assert as_rational(" −3/4 ") == Fraction(-3, 4)
     for text in ("1e٥٠٠٠", "1e５０００", "1_000", "1e4_300", "٣", "1/２"):
         with pytest.raises(GameFormatError, match="ASCII digits, no underscores"):
-            parse_rational(text)
+            as_rational(text)
     doc = '{"players": 1, "strategies": [2], "payoffs": [["1e٥٠٠٠", 0]]}'
     with pytest.raises(MalformedDocumentError, match="ASCII"):
         parse_game(doc)

@@ -54,6 +54,15 @@ def test_entries_are_exact_rationals():
         Matrix([[True]])
 
 
+def test_string_entries_take_the_rational_grammar():
+    # Fraction alone reads "1_000" and other scripts' digits, and builds
+    # a 6.6-million-bit numerator for "1e2000000"
+    assert Matrix([[" −3/4 ", "1.5e-2"]]) == Matrix([[Fraction(-3, 4), Fraction(3, 200)]])
+    for text, reason in [("1e2000000", "exponent"), ("1_000", "ASCII"), ("١", "ASCII")]:
+        with pytest.raises(ValueError, match=reason):
+            Matrix([[text]])
+
+
 def test_ragged_rows_rejected():
     with pytest.raises(ValueError):
         Matrix([[1, 2], [3]])
