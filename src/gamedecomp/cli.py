@@ -37,13 +37,14 @@ from gamedecomp.games import (
     _format_rational,
     parse_game,
 )
-from gamedecomp.linalg import Matrix, _shown, mp_inverse, parse_rational
+from gamedecomp.linalg import Matrix, _shown, parse_rational, range_projector
 from gamedecomp.projectors import (
     SubspaceKind,
     build_B_N,
     build_B_P,
     build_P_N,
     build_projectors,
+    part_matrices,
     subspace_dimension,
 )
 
@@ -54,9 +55,9 @@ MAX_DECIMAL_DIGITS = 1000
 # 2**14284 < 10**4300: CPython prints integers of up to 4300 digits
 MAX_PRINTED_BITS = 14_284
 # project and verify build dense nk x nk matrices.  One verify child
-# takes 0.6 s of CPU at 81 cells, 4.4 s at 192, 20 s at 324 and 114 s
-# (62 MB) at 512; project takes 0.6 s (73 MB) at 512 cells and its
-# output runs to megabytes
+# takes 0.3 s of CPU at 81 cells, 1.1 s at 192, 4.0 s at 324, 9.0 s at
+# 384 and 67 s (71 MB) at 512; project takes 0.9 s (72 MB) at 512 cells
+# and its output runs to megabytes
 MAX_DENSE_CELLS = 512
 
 
@@ -325,8 +326,11 @@ def _verification_checks(game: Game) -> list[tuple[str, bool]]:
     projections = [bundle.projection(kind) for kind in SubspaceKind]
     identity = Matrix.identity(space.payoff_cells)
     parts = (bundle.pure_potential, bundle.nonstrategic, bundle.pure_harmonic)
+    # idempotency and the pairwise products hold iff they hold on every ANOVA part
+    on_parts = [part_matrices(space, kind) for kind in SubspaceKind]
+    split = on_parts[:3]
     via_bp, via_bn, via_pn = (
-        m @ mp_inverse(m) for m in (build_B_P(space), build_B_N(space), build_P_N(space))
+        range_projector(m) for m in (build_B_P(space), build_B_N(space), build_P_N(space))
     )
     parts_g, phi = _split(game)
     part_vectors = [
@@ -337,11 +341,13 @@ def _verification_checks(game: Game) -> list[tuple[str, bool]]:
     solved = solve_potential_equation(game)
     return [
         ("projections_symmetric", all(m.is_symmetric() for m in projections)),
-        ("projections_idempotent", all(m @ m == m for m in projections)),
+        ("projections_idempotent", all(m @ m == m for ms in on_parts for m in ms)),
         ("projection_sum_is_identity", sum(parts[1:], parts[0]) == identity),
         (
             "projection_pairwise_products_zero",
-            all((a @ b).is_zero() for a in parts for b in parts if a is not b),
+            all(
+                (a @ b).is_zero() for x in split for y in split if x is not y for a, b in zip(x, y)
+            ),
         ),
         (
             "projection_traces_match_dimensions",
@@ -355,7 +361,9 @@ def _verification_checks(game: Game) -> list[tuple[str, bool]]:
             via_bp == bundle.potential
             and via_bn == bundle.nonstrategic
             and via_pn == bundle.pure_potential
-            and via_bp == via_bn + via_pn,
+            and via_bp == via_bn + via_pn
+            and bundle.harmonic == identity - via_pn
+            and bundle.pure_harmonic == identity - via_bp,
         ),
         ("decomposition_sums_to_input", parts_g.total() == game),
         # the dense projections cross-check the matrix-free parts

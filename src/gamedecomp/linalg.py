@@ -12,12 +12,12 @@ Every operation runs on Python ints: a product takes integer dot
 products over the product of the denominators and reduces the result
 once, sums bring both operands to the least common denominator.  One
 fraction-free (Bareiss) elimination kernel works on the numerators and
-is behind rank, linear solving, inverses and the full-rank
-factorization of Moore-Penrose inverses; the solver back-substitutes
-for the determinant times the solution, which is integral, and divides
-by the determinant once, as the result's denominator.  Group inverses
-come from the defining equation A@A@X = A.  The module also provides
-the Kronecker and semitensor products.
+is behind rank, linear solving, inverses, range projectors and the
+full-rank factorization of Moore-Penrose inverses; the solver
+back-substitutes for the determinant times the solution, which is
+integral, and divides by the determinant once, as the result's
+denominator.  Group inverses come from the defining equation A@A@X = A.
+The module also provides the Kronecker and semitensor products.
 """
 
 from __future__ import annotations
@@ -510,6 +510,19 @@ def mp_inverse(a: Matrix) -> Matrix:
     left = inverse(factor_g @ factor_g.T)
     right = inverse(factor_f.T @ factor_f)
     return factor_g.T @ left @ right @ factor_f.T
+
+
+def range_projector(a: Matrix) -> Matrix:
+    """The orthogonal projector onto a's column space, a @ mp_inverse(a), exactly.
+
+    Computed as F (F.T F)^-1 F.T with F the pivot columns of a, by one
+    solve; the zero matrix maps to the zero matrix.
+    """
+    pivots = _pivot_columns(a)
+    if not pivots:
+        return Matrix.zeros(a.nrows, a.nrows)
+    factor_f = a.take_columns(pivots)
+    return factor_f @ solve_linear(factor_f.T @ factor_f, factor_f.T)
 
 
 def group_inverse_via_solve(a: Matrix) -> Matrix | None:

@@ -13,10 +13,12 @@ average() applies one M_i to a payoff row by along-axis means over
 GameSpace.lines, with no matrix, and apply_group_inverse() applies X by
 splitting the row by grade |T| with one M_i per player and grade;
 decompose.py uses only these.  The dense matrices are written from the
-same ANOVA tables, listed by the bit mask of T: _densify_blocks() writes
-the entries as int numerators over one denominator, its bit masks
-indexing profiles on their own.  The dense ProjectorSet serves `project`
-and the oracles; so do the Kronecker-built E_i, e_i, B_N, B_P and P_N.
+same ANOVA tables, listed by the bit mask of T and held as ints over
+lcm(1..n_eff): _densify_blocks() turns them into entries with int 2x2
+steps and writes each row with one gather.  The dense ProjectorSet
+serves `project` and the oracles; so do the Kronecker-built E_i, e_i,
+B_N, B_P and P_N.  part_matrices() gives a projection as one n x n
+matrix per V_T, on which `verify` checks idempotency and products.
 The last section keeps the M_S basis, sum_S c_S M_S with M_S =
 prod_{i in S} M_i, only for the two oracle routes to X of acceptance
 criterion 2.  Nothing is cached: a bundle is built on each call.
@@ -25,10 +27,11 @@ criterion 2.  Nothing is cached: a bundle is built on each call.
 from __future__ import annotations
 
 import math
-from collections.abc import Hashable, Iterable, Sequence
+from collections.abc import Callable, Hashable, Iterable, Sequence
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
+from operator import itemgetter
 
 from gamedecomp.games import GameSpace, _Value
 from gamedecomp.linalg import Matrix, block_diag, hstack, kron, solve_linear, vstack
@@ -144,13 +147,14 @@ def _player_bits(space: GameSpace) -> dict[int, int]:
     return {i: 1 << b for b, i in enumerate(players)}
 
 
-def _entry_values(counts: Sequence[int], table: Sequence[Fraction]) -> list[Fraction]:
-    """Entries of sum_T table[T] P_T, by the mask of players on which two profiles differ.
+def _entry_values(counts: Sequence[int], table: Sequence[int]) -> list[int]:
+    """prod(counts) times the entries of sum_T table[T] P_T, by the mask of
+    players on which two profiles differ.
 
     P_T is the Kronecker product over the effective players (k_i in
     counts) of I - M_i for i in T and M_i otherwise, so one 2x2 step per
-    player maps (value off T, value on T) to (entry where profiles agree
-    on the player, entry where they differ).
+    player maps (value off T, value on T) to k_i times (entry where
+    profiles agree on the player, entry where they differ).
     """
     values = list(table)
     for b, count in enumerate(counts):
@@ -158,40 +162,56 @@ def _entry_values(counts: Sequence[int], table: Sequence[Fraction]) -> list[Frac
         for mask in range(len(values)):
             if not mask & bit:
                 rest, own = values[mask], values[mask | bit]
-                values[mask] = Fraction(rest + (count - 1) * own, count)
-                values[mask | bit] = Fraction(rest - own, count)
+                values[mask] = rest + (count - 1) * own
+                values[mask | bit] = rest - own
     return values
 
 
-def _densify_blocks(
-    space: GameSpace, tables: dict[Hashable, Sequence[Fraction]], layout: Sequence[Sequence[Hashable]]
-) -> Matrix:
-    """The block matrix whose (i, j) block has the ANOVA table tables[layout[i][j]].
+def _row_gathers(counts: Sequence[int], widths: Sequence[int]) -> list[list[Callable]]:
+    """For each width, per profile p the getter of row p of a row of that many blocks.
 
-    Each distinct table is turned into entries once.  masks[p][q] has
-    bit b set iff profiles p and q differ on the b-th effective player;
-    entries that share a table and a mask share one int.
+    The getter picks from the block row's entry lists laid end to end:
+    masks[p][q] has bit b set iff profiles p and q differ on the b-th
+    effective player, so entry (p, q) of block j is at j * 2^n_eff +
+    masks[p][q].
     """
-    counts = [space.strategy_counts[i - 1] for i in _player_bits(space)]
     masks = [[0]]
     for b, count in enumerate(counts):
         axis = range(count)
         masks = [[m | (x != y) << b for m in row for y in axis] for row in masks for x in axis]
+    size = 1 << len(counts)
+    gathers = []
+    for width in widths:
+        picks = [itemgetter(*[j * size + m for j in range(width) for m in row]) for row in masks]
+        # one index gives a bare value, not a 1-tuple
+        gathers.append(picks if width * len(masks) > 1 else [lambda values: values[:1]])
+    return gathers
+
+
+def _densify_blocks(
+    counts: Sequence[int],
+    tables: dict[Hashable, Sequence[int]],
+    den: int,
+    layout: Sequence[Sequence[Hashable]],
+    gathers: Sequence[Callable],
+) -> Matrix:
+    """The block matrix whose (i, j) block has the ANOVA table tables[layout[i][j]] / den.
+
+    Each distinct table is turned into entries once, over den times
+    prod(counts), and all of them are reduced by one gcd; entries that
+    share a table and a mask share one int.
+    """
     entries = {key: _entry_values(counts, table) for key, table in tables.items()}
-    den = math.lcm(*(v.denominator for values in entries.values() for v in values))
-    numerators = {
-        key: [v.numerator * (den // v.denominator) for v in values]
-        for key, values in entries.items()
-    }
-    blocks = [[numerators[key] for key in row] for row in layout]
-    return Matrix.from_numerators(
-        (
-            [values[m] for values in block_row for m in mask_row]
-            for block_row in blocks
-            for mask_row in masks
-        ),
-        den,
-    )
+    den *= math.prod(counts)
+    g = math.gcd(den, *chain.from_iterable(entries.values()))
+    if g > 1:
+        den //= g
+        entries = {key: [v // g for v in values] for key, values in entries.items()}
+    rows = []
+    for block_row in layout:
+        values = list(chain.from_iterable(entries[key] for key in block_row))
+        rows += [gather(values) for gather in gathers]
+    return Matrix.from_numerators(rows, den)
 
 
 class ProjectorSet(_Value):
@@ -242,41 +262,73 @@ def subspace_dimension(space: GameSpace, kind: SubspaceKind) -> int:
     }[kind]
 
 
-def build_projectors(space: GameSpace) -> ProjectorSet:
-    """The projector bundle for a space, from one ANOVA table per distinct block.
+# (a, b, sign) of each kind: block (i, j) of its projection is
+# delta_ij (a I + b M_i) + sign (I - M_i) X (I - M_j); the pure potential
+# projection P_N X P_N.T has a = b = 0, sign = 1, the nonstrategic one
+# diag(M_i) has b = 1, sign = 0
+_BLOCK_COEFFICIENTS = {
+    SubspaceKind.PURE_POTENTIAL: (0, 0, 1),
+    SubspaceKind.NONSTRATEGIC: (0, 1, 0),
+    SubspaceKind.PURE_HARMONIC: (1, -1, -1),
+    SubspaceKind.POTENTIAL: (0, 1, 1),
+    SubspaceKind.HARMONIC: (1, 0, -1),
+}
 
-    Block (i, j) of each projection is delta_ij (a I + b M_i) + sign
-    (I - M_i) X (I - M_j), which is delta_ij (a + b [i not in T]) +
-    sign [i in T] [j in T] / |T| on V_T: the pure potential projection
-    P_N X P_N.T has a = b = 0, sign = 1, and the nonstrategic one
-    diag(M_i) has b = 1, sign = 0.
+
+def _block_tables(
+    space: GameSpace, kind: SubspaceKind
+) -> tuple[dict[Hashable, list[int]], int, list[list[Hashable]]]:
+    """The ANOVA tables of kind's projection, as ints over one denominator.
+
+    Returns (tables, den, layout): block (i, j) is tables[layout[i][j]]
+    / den, which on V_T is delta_ij (a + b [i not in T]) + sign [i in T]
+    [j in T] / |T|.  A block's table depends only on (bit_i, bit_j,
+    i == j), and den is lcm(1..n_eff).
     """
+    a, b, sign = _BLOCK_COEFFICIENTS[kind]
     bit = _player_bits(space)
+    den = math.lcm(*range(1, len(bit) + 1))
     parts = range(1 << len(bit))
-    x = [Fraction(1, t.bit_count()) if t else Fraction(0) for t in parts]
-    # a block's table depends only on (bit_i, bit_j, i == j)
     players = range(1, space.n + 1)
     layout = [[(bit.get(i, 0), bit.get(j, 0), i == j) for j in players] for i in players]
-    keys = {key for row in layout for key in row}
 
-    def projection(a: int, b: int, sign: int) -> Matrix:
-        def table(bit_i: int, bit_j: int, same: bool) -> list[Fraction]:
-            return [
-                (a + b * (not t & bit_i) if same else 0)
-                + (sign * x[t] if t & bit_i and t & bit_j else 0)
-                for t in parts
-            ]
+    def table(bit_i: int, bit_j: int, same: bool) -> list[int]:
+        return [
+            ((a + b * (not t & bit_i)) * den if same else 0)
+            + (sign * den // t.bit_count() if t & bit_i and t & bit_j else 0)
+            for t in parts
+        ]
 
-        return _densify_blocks(space, {key: table(*key) for key in keys}, layout)
+    return {key: table(*key) for row in layout for key in row}, den, layout
 
+
+def part_matrices(space: GameSpace, kind: SubspaceKind) -> list[Matrix]:
+    """kind's projection on each ANOVA part V_T, one n x n matrix per mask of T.
+
+    The projection is sum_T part_T (x) P_T over orthogonal projectors
+    P_T != 0, so it is idempotent, or its product with another is zero,
+    iff every part is.
+    """
+    tables, den, layout = _block_tables(space, kind)
+    return [
+        Matrix.from_numerators([[tables[key][t] for key in row] for row in layout], den)
+        for t in range(1 << len(_player_bits(space)))
+    ]
+
+
+def build_projectors(space: GameSpace) -> ProjectorSet:
+    """The projector bundle for a space, from one ANOVA table per distinct block."""
+    counts = [space.strategy_counts[i - 1] for i in _player_bits(space)]
+    wide, narrow = _row_gathers(counts, (space.n, 1))
+    den = math.lcm(*range(1, len(counts) + 1))
+    x = [den // t.bit_count() if t else 0 for t in range(1 << len(counts))]
     return ProjectorSet(
         space=space,
-        group_inverse=_densify_blocks(space, {None: x}, [[None]]),
-        pure_potential=projection(0, 0, 1),
-        nonstrategic=projection(0, 1, 0),
-        pure_harmonic=projection(1, -1, -1),
-        potential=projection(0, 1, 1),
-        harmonic=projection(1, 0, -1),
+        group_inverse=_densify_blocks(counts, {None: x}, den, [[None]], narrow),
+        **{
+            kind.name.lower(): _densify_blocks(counts, *_block_tables(space, kind), wide)
+            for kind in SubspaceKind
+        },
     )
 
 
@@ -322,9 +374,12 @@ def _multiply(left: Element, right: Element) -> Element:
 def _densify(space: GameSpace, element: Element) -> Matrix:
     """The k x k matrix of sum_S c_S M_S: on V_T, the sum of the c_S with S disjoint from T."""
     bits = _player_bits(space)
+    counts = [space.strategy_counts[i - 1] for i in bits]
     weighted = [(sum(bits.get(i, 0) for i in s), c) for s, c in element.items()]
     table = [sum(c for s, c in weighted if not s & t) for t in range(1 << len(bits))]
-    return _densify_blocks(space, {None: table}, [[None]])
+    den = math.lcm(*(c.denominator for c in table))
+    ints = [c.numerator * (den // c.denominator) for c in table]
+    return _densify_blocks(counts, {None: ints}, den, [[None]], *_row_gathers(counts, (1,)))
 
 
 def group_inverse_closed_form(space: GameSpace) -> Matrix:

@@ -13,6 +13,8 @@ from _helpers import random_game, rps_game, symmetric_222, symmetric_33
 from gamedecomp import cli
 from gamedecomp.cli import MAX_DENSE_CELLS, main
 from gamedecomp.games import Game, GameSpace, serialize_game
+from gamedecomp.linalg import Matrix
+from gamedecomp.projectors import ProjectorSet
 
 
 def write_game(tmp_path, game, name="game.json"):
@@ -275,6 +277,31 @@ def test_verify_runs_all_checks(tmp_path, capsys):
     assert "pseudoinverse_oracles_match" in names
     assert "potential_routes_agree" in names
     assert all(c["passed"] for c in doc["checks"])
+
+
+def test_verify_pins_the_harmonic_projections(tmp_path, capsys, monkeypatch):
+    # harmonic with player 1's and player 2's blocks swapped is still
+    # symmetric, idempotent and of the right trace; only the oracles see it
+    real_build = cli.build_projectors
+
+    def swapped(space):
+        bundle = real_build(space)
+        k = space.k
+        order = [*range(k, 2 * k), *range(k), *range(2 * k, space.payoff_cells)]
+        rows = bundle.harmonic.numerators
+        harmonic = Matrix.from_numerators(
+            [[rows[p][q] for q in order] for p in order], bundle.harmonic.denominator
+        )
+        assert harmonic != bundle.harmonic
+        fields = {name: getattr(bundle, name) for name in ProjectorSet._fields}
+        return ProjectorSet(**{**fields, "harmonic": harmonic})
+
+    monkeypatch.setattr(cli, "build_projectors", swapped)
+    for game in (rps_game(), random_game(random.Random(461), GameSpace((2, 3, 2)))):
+        code, out, _ = run_cli(capsys, "verify", write_game(tmp_path, game))
+        assert code == 1
+        failed = [c["name"] for c in json.loads(out)["checks"] if not c["passed"]]
+        assert failed == ["pseudoinverse_oracles_match"]
 
 
 def test_decimal_output_is_labeled(tmp_path, capsys):

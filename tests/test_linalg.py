@@ -38,6 +38,7 @@ from gamedecomp.linalg import (
     inverse,
     kron,
     mp_inverse,
+    range_projector,
     rank,
     solve_linear,
     stp,
@@ -399,6 +400,17 @@ def test_inverse_and_mp_inverse_on_low_rank(data):
     else:
         with pytest.raises(ValueError, match="singular"):
             inverse(square)
+
+
+@PROPERTY
+@given(st.data())
+def test_range_projector_equals_product_with_mp_inverse(data):
+    m, n = data.draw(SIDE), data.draw(SIDE)
+    # full-rank draws, or products of narrower factors (the zero matrix included)
+    a = data.draw(st.one_of(matrices(m, n), low_rank(m, n)))
+    projector = range_projector(a)
+    assert projector == fraction_product(a, mp_inverse(a))
+    assert projector.shape == (m, m)
 
 
 # -- integer-numerator storage against Fraction-entry oracles ---------------

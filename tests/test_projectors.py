@@ -4,7 +4,10 @@ from fractions import Fraction
 from itertools import chain, combinations
 
 import pytest
+from hypothesis import given
 
+from _helpers import PROPERTY, spaces
+from gamedecomp import projectors
 from gamedecomp.games import GameSpace
 from gamedecomp.linalg import (
     Matrix,
@@ -28,6 +31,7 @@ from gamedecomp.projectors import (
     closed_form_coefficients,
     group_inverse_closed_form,
     group_inverse_solve_route,
+    part_matrices,
     subspace_dimension,
 )
 
@@ -207,6 +211,57 @@ def test_projector_bundle_algebra():
                 assert (parts[i] @ parts[j]).is_zero()
     assert bundle.potential == parts[0] + parts[1]
     assert bundle.harmonic == identity - parts[0]
+
+
+@pytest.mark.parametrize("counts", [(1,), (1, 3), (3, 1, 1)])
+def test_bundle_with_one_strategy_players_matches_the_oracles(counts):
+    # (1,) writes 1x1 matrices, whose rows gather a single entry
+    space = GameSpace(counts)
+    bundle = build_projectors(space)
+    identity = Matrix.identity(space.payoff_cells)
+    b_p, b_n, p_n = build_B_P(space), build_B_N(space), build_P_N(space)
+    assert bundle.potential == b_p @ mp_inverse(b_p)
+    assert bundle.nonstrategic == b_n @ mp_inverse(b_n)
+    assert bundle.pure_potential == p_n @ mp_inverse(p_n)
+    assert bundle.harmonic == identity - bundle.pure_potential
+    assert bundle.pure_harmonic == identity - bundle.potential
+    assert bundle.group_inverse == group_inverse_via_solve(strategy_residual(space))
+
+
+def _verdicts(space):
+    """(dense, on the parts) verdicts of idempotency for each kind, then of
+    each pairwise product of the three parts of the split being zero."""
+    dense = [build_projectors(space).projection(kind) for kind in SubspaceKind]
+    parts = [part_matrices(space, kind) for kind in SubspaceKind]
+    out = [(m @ m == m, all(p @ p == p for p in ps)) for m, ps in zip(dense, parts)]
+    pairs = [(i, j) for i in range(3) for j in range(3) if i != j]
+    for i, j in pairs:
+        on_parts = all((a @ b).is_zero() for a, b in zip(parts[i], parts[j]))
+        out.append(((dense[i] @ dense[j]).is_zero(), on_parts))
+    return out
+
+
+@PROPERTY
+@given(spaces(max_cells=60))
+def test_identities_on_the_parts_match_the_dense_products(space):
+    verdicts = _verdicts(space)
+    assert verdicts == [(True, True)] * len(verdicts)
+    real_tables = projectors._block_tables
+
+    def perturbed(space, kind):
+        # twice the pure potential table of block (1, 1) added on the
+        # constants, where the true table is 0: 2E is not idempotent
+        # and its product with the nonstrategic part, I there, is not zero
+        tables, den, layout = real_tables(space, kind)
+        if kind is SubspaceKind.PURE_POTENTIAL:
+            tables[layout[0][0]][0] += 2 * den
+        return tables, den, layout
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(projectors, "_block_tables", perturbed)
+        verdicts = _verdicts(space)
+    assert all(dense == on_parts for dense, on_parts in verdicts)
+    assert verdicts[0] == verdicts[5] == (False, False)
 
 
 def test_nonstrategic_projection_is_averaging_blockdiag():
