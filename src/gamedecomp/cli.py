@@ -39,6 +39,8 @@ from gamedecomp.games import (
 )
 from gamedecomp.linalg import Matrix, _shown, parse_rational, range_projector
 from gamedecomp.projectors import (
+    PART_KINDS,
+    ProjectorSet,
     SubspaceKind,
     build_B_N,
     build_B_P,
@@ -176,6 +178,12 @@ def _check_format(args: argparse.Namespace) -> int | None:
     return None
 
 
+def _sum_of_parts(bundle: ProjectorSet) -> Matrix:
+    """The sum of the three part projections, the identity on a correct bundle."""
+    first, *rest = (bundle.projection(kind) for kind in PART_KINDS)
+    return sum(rest, first)
+
+
 def _check_dense(command: str, space: GameSpace) -> int | None:
     """Refuse, before any build, a space too large for dense nk x nk matrices."""
     cells = space.payoff_cells
@@ -269,8 +277,7 @@ def _cmd_project(args: argparse.Namespace) -> int:
     if refused is not None:
         return refused
     bundle = build_projectors(args.space)
-    total = bundle.pure_potential + bundle.nonstrategic + bundle.pure_harmonic
-    if total != Matrix.identity(args.space.payoff_cells):
+    if _sum_of_parts(bundle) != Matrix.identity(args.space.payoff_cells):
         print("error: projection sum identity failed", file=sys.stderr)
         return 1
     kind = SubspaceKind(args.kind)
@@ -323,26 +330,24 @@ def _verification_checks(game: Game) -> list[tuple[str, bool]]:
     """Every cross-oracle identity the library can test on one game."""
     space = game.space
     bundle = build_projectors(space)
-    projections = [bundle.projection(kind) for kind in SubspaceKind]
     identity = Matrix.identity(space.payoff_cells)
-    parts = (bundle.pure_potential, bundle.nonstrategic, bundle.pure_harmonic)
     # idempotency and the pairwise products hold iff they hold on every ANOVA part
-    on_parts = [part_matrices(space, kind) for kind in SubspaceKind]
-    split = on_parts[:3]
+    on_parts = {kind: part_matrices(space, kind) for kind in SubspaceKind}
+    split = [on_parts[kind] for kind in PART_KINDS]
     via_bp, via_bn, via_pn = (
         range_projector(m) for m in (build_B_P(space), build_B_N(space), build_P_N(space))
     )
     parts_g, phi = _split(game)
-    part_vectors = [
-        part.structure_vector()
-        for part in (parts_g.pure_potential, parts_g.nonstrategic, parts_g.pure_harmonic)
-    ]
+    part_vectors = {kind: parts_g.projection(kind).structure_vector() for kind in PART_KINDS}
     projected = _potential(game, parts_g, phi)
     solved = solve_potential_equation(game)
     return [
-        ("projections_symmetric", all(m.is_symmetric() for m in projections)),
-        ("projections_idempotent", all(m @ m == m for ms in on_parts for m in ms)),
-        ("projection_sum_is_identity", sum(parts[1:], parts[0]) == identity),
+        (
+            "projections_symmetric",
+            all(bundle.projection(kind).is_symmetric() for kind in SubspaceKind),
+        ),
+        ("projections_idempotent", all(m @ m == m for ms in on_parts.values() for m in ms)),
+        ("projection_sum_is_identity", _sum_of_parts(bundle) == identity),
         (
             "projection_pairwise_products_zero",
             all(
@@ -352,8 +357,8 @@ def _verification_checks(game: Game) -> list[tuple[str, bool]]:
         (
             "projection_traces_match_dimensions",
             all(
-                m.trace() == subspace_dimension(space, kind)
-                for m, kind in zip(projections, SubspaceKind)
+                bundle.projection(kind).trace() == subspace_dimension(space, kind)
+                for kind in SubspaceKind
             ),
         ),
         (
@@ -369,7 +374,7 @@ def _verification_checks(game: Game) -> list[tuple[str, bool]]:
         # the dense projections cross-check the matrix-free parts
         (
             "components_lie_in_their_subspaces",
-            all(bundle.projection(kind) @ v == v for kind, v in zip(SubspaceKind, part_vectors)),
+            all(bundle.projection(kind) @ v == v for kind, v in part_vectors.items()),
         ),
         (
             "definitional_checks_agree",

@@ -20,7 +20,14 @@ from collections.abc import Sequence
 from fractions import Fraction
 
 from gamedecomp.games import Game, _Value
-from gamedecomp.projectors import SubspaceKind, apply_group_inverse, average, axis_means
+from gamedecomp.projectors import (
+    PART_KINDS,
+    PARTS,
+    SubspaceKind,
+    apply_group_inverse,
+    average,
+    axis_means,
+)
 
 
 class Decomposition(_Value):
@@ -37,24 +44,17 @@ class Decomposition(_Value):
         return self.pure_potential + self.nonstrategic + self.pure_harmonic
 
     def projection(self, kind: SubspaceKind) -> Game:
-        """The game's projection onto a canonical subspace."""
-        if kind is SubspaceKind.POTENTIAL:
-            return self.pure_potential + self.nonstrategic
-        if kind is SubspaceKind.HARMONIC:
-            return self.nonstrategic + self.pure_harmonic
-        return getattr(self, kind.name.lower())
+        """The game's projection onto a canonical subspace: the sum of its parts."""
+        first, *rest = (getattr(self, part.name.lower()) for part in PARTS[kind])
+        return sum(rest, first)
 
     def is_member(self, kind: SubspaceKind) -> bool:
         """Whether the game lies in a canonical subspace: its parts outside it are zero."""
-        parts = (self.pure_potential, self.nonstrategic, self.pure_harmonic)
-        pp, ns, ph = (not any(map(any, part.payoff_rows)) for part in parts)
-        return {
-            SubspaceKind.PURE_POTENTIAL: ns and ph,
-            SubspaceKind.NONSTRATEGIC: pp and ph,
-            SubspaceKind.PURE_HARMONIC: pp and ns,
-            SubspaceKind.POTENTIAL: ph,
-            SubspaceKind.HARMONIC: pp,
-        }[kind]
+        return not any(
+            any(map(any, getattr(self, part.name.lower()).payoff_rows))
+            for part in PART_KINDS
+            if part not in PARTS[kind]
+        )
 
 
 class PotentialFunction(_Value):

@@ -1,7 +1,9 @@
 """The averaging-operator algebra behind the canonical game subspaces.
 
 The payoff space of a signature [n; k_1..k_n] splits orthogonally into
-pure potential, nonstrategic and pure harmonic parts.  The operators of
+pure potential, nonstrategic and pure harmonic parts (PART_KINDS);
+PARTS lists the parts each of the five canonical subspaces sums, and
+every per-kind rule is derived from that one table.  The operators of
 the split lie in the commutative algebra of the averaging operators
 M_i = e_i/k_i, and R^k splits into ANOVA parts V_T, T a set of players
 with k_i >= 2 (Efron & Stein 1981), on which M_i is 0 if i is in T and
@@ -12,16 +14,16 @@ one strategy have M_i = I and play no part.
 average() applies one M_i to a payoff row by along-axis means over
 GameSpace.lines, with no matrix, and apply_group_inverse() applies X by
 splitting the row by grade |T| with one M_i per player and grade;
-decompose.py uses only these.  The dense matrices are written from the
-same ANOVA tables, listed by the bit mask of T and held as ints over
-lcm(1..n_eff): _densify_blocks() turns them into entries with int 2x2
-steps and writes each row with one gather.  The dense ProjectorSet
+decompose.py uses only these.  The five dense projections are written
+from the same ANOVA tables, listed by the bit mask of T and held as ints
+over lcm(1..n_eff): _densify_blocks() turns them into entries with int
+2x2 steps and writes each row with one gather.  The dense ProjectorSet
 serves `project` and the oracles; so do the Kronecker-built E_i, e_i,
 B_N, B_P and P_N.  part_matrices() gives a projection as one n x n
 matrix per V_T, on which `verify` checks idempotency and products.
 The last section keeps the M_S basis, sum_S c_S M_S with M_S =
 prod_{i in S} M_i, only for the two oracle routes to X of acceptance
-criterion 2.  Nothing is cached: a bundle is built on each call.
+criterion 2, which write the dense X.  Nothing is cached.
 """
 
 from __future__ import annotations
@@ -45,6 +47,17 @@ class SubspaceKind(Enum):
     PURE_HARMONIC = "pure-harmonic"
     POTENTIAL = "potential"
     HARMONIC = "harmonic"
+
+
+# the three mutually orthogonal parts, in the order of Decomposition's fields
+PART_KINDS = (SubspaceKind.PURE_POTENTIAL, SubspaceKind.NONSTRATEGIC, SubspaceKind.PURE_HARMONIC)
+# the parts whose orthogonal sum each canonical subspace is
+# (Candogan, Menache, Ozdaglar & Parrilo 2011)
+PARTS = {
+    **{kind: (kind,) for kind in PART_KINDS},
+    SubspaceKind.POTENTIAL: (SubspaceKind.PURE_POTENTIAL, SubspaceKind.NONSTRATEGIC),
+    SubspaceKind.HARMONIC: (SubspaceKind.NONSTRATEGIC, SubspaceKind.PURE_HARMONIC),
+}
 
 
 def build_E(space: GameSpace, player: int) -> Matrix:
@@ -167,8 +180,8 @@ def _entry_values(counts: Sequence[int], table: Sequence[int]) -> list[int]:
     return values
 
 
-def _row_gathers(counts: Sequence[int], widths: Sequence[int]) -> list[list[Callable]]:
-    """For each width, per profile p the getter of row p of a row of that many blocks.
+def _row_gathers(counts: Sequence[int], width: int) -> list[Callable]:
+    """Per profile p, the getter of row p of a row of width blocks.
 
     The getter picks from the block row's entry lists laid end to end:
     masks[p][q] has bit b set iff profiles p and q differ on the b-th
@@ -179,13 +192,11 @@ def _row_gathers(counts: Sequence[int], widths: Sequence[int]) -> list[list[Call
     for b, count in enumerate(counts):
         axis = range(count)
         masks = [[m | (x != y) << b for m in row for y in axis] for row in masks for x in axis]
-    size = 1 << len(counts)
-    gathers = []
-    for width in widths:
-        picks = [itemgetter(*[j * size + m for j in range(width) for m in row]) for row in masks]
+    if width * len(masks) == 1:
         # one index gives a bare value, not a 1-tuple
-        gathers.append(picks if width * len(masks) > 1 else [lambda values: values[:1]])
-    return gathers
+        return [lambda values: values[:1]]
+    size = 1 << len(counts)
+    return [itemgetter(*[j * size + m for j in range(width) for m in row]) for row in masks]
 
 
 def _densify_blocks(
@@ -215,11 +226,10 @@ def _densify_blocks(
 
 
 class ProjectorSet(_Value):
-    """All five projections for one space, plus the group inverse X."""
+    """The five projections for one space; potential and harmonic sum the parts PARTS lists."""
 
     _fields = (
         "space",
-        "group_inverse",
         "pure_potential",
         "nonstrategic",
         "pure_harmonic",
@@ -230,7 +240,6 @@ class ProjectorSet(_Value):
     def __init__(
         self,
         space: GameSpace,
-        group_inverse: Matrix,
         pure_potential: Matrix,
         nonstrategic: Matrix,
         pure_harmonic: Matrix,
@@ -238,7 +247,6 @@ class ProjectorSet(_Value):
         harmonic: Matrix,
     ) -> None:
         object.__setattr__(self, "space", space)
-        object.__setattr__(self, "group_inverse", group_inverse)
         object.__setattr__(self, "pure_potential", pure_potential)
         object.__setattr__(self, "nonstrategic", nonstrategic)
         object.__setattr__(self, "pure_harmonic", pure_harmonic)
@@ -250,29 +258,10 @@ class ProjectorSet(_Value):
 
 
 def subspace_dimension(space: GameSpace, kind: SubspaceKind) -> int:
-    """Dimension of a canonical subspace (equals the projection's trace)."""
-    n, k = space.n, space.k
-    lifted = sum(k // c for c in space.strategy_counts)
-    return {
-        SubspaceKind.PURE_POTENTIAL: k - 1,
-        SubspaceKind.NONSTRATEGIC: lifted,
-        SubspaceKind.PURE_HARMONIC: (n - 1) * k - lifted + 1,
-        SubspaceKind.POTENTIAL: k + lifted - 1,
-        SubspaceKind.HARMONIC: (n - 1) * k + 1,
-    }[kind]
-
-
-# (a, b, sign) of each kind: block (i, j) of its projection is
-# delta_ij (a I + b M_i) + sign (I - M_i) X (I - M_j); the pure potential
-# projection P_N X P_N.T has a = b = 0, sign = 1, the nonstrategic one
-# diag(M_i) has b = 1, sign = 0
-_BLOCK_COEFFICIENTS = {
-    SubspaceKind.PURE_POTENTIAL: (0, 0, 1),
-    SubspaceKind.NONSTRATEGIC: (0, 1, 0),
-    SubspaceKind.PURE_HARMONIC: (1, -1, -1),
-    SubspaceKind.POTENTIAL: (0, 1, 1),
-    SubspaceKind.HARMONIC: (1, 0, -1),
-}
+    """Dimension of a canonical subspace, the sum of its parts' (and the projection's trace)."""
+    lifted = sum(space.k // c for c in space.strategy_counts)
+    dims = (space.k - 1, lifted, (space.n - 1) * space.k - lifted + 1)
+    return sum(d for part, d in zip(PART_KINDS, dims) if part in PARTS[kind])
 
 
 def _block_tables(
@@ -283,9 +272,12 @@ def _block_tables(
     Returns (tables, den, layout): block (i, j) is tables[layout[i][j]]
     / den, which on V_T is delta_ij (a + b [i not in T]) + sign [i in T]
     [j in T] / |T|.  A block's table depends only on (bit_i, bit_j,
-    i == j), and den is lcm(1..n_eff).
+    i == j), and den is lcm(1..n_eff).  Each part in PARTS[kind] adds its
+    (a, b, sign): pure potential P_N X P_N.T (0, 0, 1), nonstrategic
+    diag(M_i) (0, 1, 0), and pure harmonic, I minus both, (1, -1, -1).
     """
-    a, b, sign = _BLOCK_COEFFICIENTS[kind]
+    pp, ns, ph = (part in PARTS[kind] for part in PART_KINDS)
+    a, b, sign = ph, ns - ph, pp - ph
     bit = _player_bits(space)
     den = math.lcm(*range(1, len(bit) + 1))
     parts = range(1 << len(bit))
@@ -319,14 +311,11 @@ def part_matrices(space: GameSpace, kind: SubspaceKind) -> list[Matrix]:
 def build_projectors(space: GameSpace) -> ProjectorSet:
     """The projector bundle for a space, from one ANOVA table per distinct block."""
     counts = [space.strategy_counts[i - 1] for i in _player_bits(space)]
-    wide, narrow = _row_gathers(counts, (space.n, 1))
-    den = math.lcm(*range(1, len(counts) + 1))
-    x = [den // t.bit_count() if t else 0 for t in range(1 << len(counts))]
+    gathers = _row_gathers(counts, space.n)
     return ProjectorSet(
         space=space,
-        group_inverse=_densify_blocks(counts, {None: x}, den, [[None]], narrow),
         **{
-            kind.name.lower(): _densify_blocks(counts, *_block_tables(space, kind), wide)
+            kind.name.lower(): _densify_blocks(counts, *_block_tables(space, kind), gathers)
             for kind in SubspaceKind
         },
     )
@@ -379,7 +368,7 @@ def _densify(space: GameSpace, element: Element) -> Matrix:
     table = [sum(c for s, c in weighted if not s & t) for t in range(1 << len(bits))]
     den = math.lcm(*(c.denominator for c in table))
     ints = [c.numerator * (den // c.denominator) for c in table]
-    return _densify_blocks(counts, {None: ints}, den, [[None]], *_row_gathers(counts, (1,)))
+    return _densify_blocks(counts, {None: ints}, den, [[None]], _row_gathers(counts, 1))
 
 
 def group_inverse_closed_form(space: GameSpace) -> Matrix:

@@ -304,6 +304,25 @@ def test_verify_pins_the_harmonic_projections(tmp_path, capsys, monkeypatch):
         assert failed == ["pseudoinverse_oracles_match"]
 
 
+def test_verify_does_not_pair_kinds_and_parts_by_enum_order(monkeypatch):
+    # verify names the three parts through the parts table, so listing the
+    # kinds in another order changes no verdict
+    real = cli.SubspaceKind
+
+    class ReversedKinds:
+        def __iter__(self):
+            return reversed(real)
+
+        def __getattr__(self, name):
+            return getattr(real, name)
+
+    monkeypatch.setattr(cli, "SubspaceKind", ReversedKinds())
+    assert list(cli.SubspaceKind) == list(real)[::-1]
+    for game in (rps_game(), random_game(random.Random(463), GameSpace((2, 3, 2)))):
+        checks = cli._verification_checks(game)
+        assert [name for name, passed in checks if not passed] == []
+
+
 def test_decimal_output_is_labeled(tmp_path, capsys):
     game = Game(GameSpace((2,)), ((Fraction(1, 2), Fraction(-9, 8)),))
     path = write_game(tmp_path, game)
