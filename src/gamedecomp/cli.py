@@ -40,7 +40,6 @@ from gamedecomp.games import (
 from gamedecomp.linalg import Matrix, _shown, parse_rational, range_projector
 from gamedecomp.projectors import (
     PART_KINDS,
-    ProjectorSet,
     SubspaceKind,
     build_B_N,
     build_B_P,
@@ -178,12 +177,6 @@ def _check_format(args: argparse.Namespace) -> int | None:
     return None
 
 
-def _sum_of_parts(bundle: ProjectorSet) -> Matrix:
-    """The sum of the three part projections, the identity on a correct bundle."""
-    first, *rest = (bundle.projection(kind) for kind in PART_KINDS)
-    return sum(rest, first)
-
-
 def _check_dense(command: str, space: GameSpace) -> int | None:
     """Refuse, before any build, a space too large for dense nk x nk matrices."""
     cells = space.payoff_cells
@@ -277,7 +270,7 @@ def _cmd_project(args: argparse.Namespace) -> int:
     if refused is not None:
         return refused
     bundle = build_projectors(args.space)
-    if _sum_of_parts(bundle) != Matrix.identity(args.space.payoff_cells):
+    if bundle.total() != Matrix.identity(args.space.payoff_cells):
         print("error: projection sum identity failed", file=sys.stderr)
         return 1
     kind = SubspaceKind(args.kind)
@@ -331,9 +324,10 @@ def _verification_checks(game: Game) -> list[tuple[str, bool]]:
     space = game.space
     bundle = build_projectors(space)
     identity = Matrix.identity(space.payoff_cells)
-    # idempotency and the pairwise products hold iff they hold on every ANOVA part
-    on_parts = {kind: part_matrices(space, kind) for kind in SubspaceKind}
-    split = [on_parts[kind] for kind in PART_KINDS]
+    # potential and harmonic sum parts, so they are symmetric, idempotent and of
+    # the right trace when the parts are and the parts' products are zero;
+    # idempotency and the products hold iff they hold on every ANOVA part
+    split = [part_matrices(space, kind) for kind in PART_KINDS]
     via_bp, via_bn, via_pn = (
         range_projector(m) for m in (build_B_P(space), build_B_N(space), build_P_N(space))
     )
@@ -344,10 +338,10 @@ def _verification_checks(game: Game) -> list[tuple[str, bool]]:
     return [
         (
             "projections_symmetric",
-            all(bundle.projection(kind).is_symmetric() for kind in SubspaceKind),
+            all(bundle.projection(kind).is_symmetric() for kind in PART_KINDS),
         ),
-        ("projections_idempotent", all(m @ m == m for ms in on_parts.values() for m in ms)),
-        ("projection_sum_is_identity", _sum_of_parts(bundle) == identity),
+        ("projections_idempotent", all(m @ m == m for ms in split for m in ms)),
+        ("projection_sum_is_identity", bundle.total() == identity),
         (
             "projection_pairwise_products_zero",
             all(
@@ -358,7 +352,7 @@ def _verification_checks(game: Game) -> list[tuple[str, bool]]:
             "projection_traces_match_dimensions",
             all(
                 bundle.projection(kind).trace() == subspace_dimension(space, kind)
-                for kind in SubspaceKind
+                for kind in PART_KINDS
             ),
         ),
         (

@@ -24,14 +24,15 @@ from gamedecomp.projectors import (
     PART_KINDS,
     PARTS,
     SubspaceKind,
+    _Parts,
     apply_group_inverse,
     average,
     axis_means,
 )
 
 
-class Decomposition(_Value):
-    """The three mutually orthogonal parts of a game."""
+class Decomposition(_Parts):
+    """The three mutually orthogonal parts of a game; projection(kind) sums its parts."""
 
     _fields = ("pure_potential", "nonstrategic", "pure_harmonic")
 
@@ -39,14 +40,6 @@ class Decomposition(_Value):
         object.__setattr__(self, "pure_potential", pure_potential)
         object.__setattr__(self, "nonstrategic", nonstrategic)
         object.__setattr__(self, "pure_harmonic", pure_harmonic)
-
-    def total(self) -> Game:
-        return self.pure_potential + self.nonstrategic + self.pure_harmonic
-
-    def projection(self, kind: SubspaceKind) -> Game:
-        """The game's projection onto a canonical subspace: the sum of its parts."""
-        first, *rest = (getattr(self, part.name.lower()) for part in PARTS[kind])
-        return sum(rest, first)
 
     def is_member(self, kind: SubspaceKind) -> bool:
         """Whether the game lies in a canonical subspace: its parts outside it are zero."""

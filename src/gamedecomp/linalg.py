@@ -209,18 +209,12 @@ class Matrix:
         x = self._num[i][j]
         return Fraction(x, self._den) if x else _ZERO
 
-    def row_tuple(self, i: int) -> tuple[Fraction, ...]:
-        return tuple(map(_Entries(self._den).__getitem__, self._num[i]))
-
     def column_tuple(self, j: int) -> tuple[Fraction, ...]:
         return tuple(map(_Entries(self._den).__getitem__, (row[j] for row in self._num)))
 
     def rows_iter(self) -> Iterator[tuple[Fraction, ...]]:
         entry = _Entries(self._den).__getitem__
         return (tuple(map(entry, row)) for row in self._num)
-
-    def to_lists(self) -> list[list[Fraction]]:
-        return [list(row) for row in self.rows_iter()]
 
     def take_columns(self, indices: Sequence[int]) -> "Matrix":
         columns = tuple([tuple([row[j] for j in indices]) for row in self._num])

@@ -14,12 +14,14 @@ one strategy have M_i = I and play no part.
 average() applies one M_i to a payoff row by along-axis means over
 GameSpace.lines, with no matrix, and apply_group_inverse() applies X by
 splitting the row by grade |T| with one M_i per player and grade;
-decompose.py uses only these.  The five dense projections are written
-from the same ANOVA tables, listed by the bit mask of T and held as ints
-over lcm(1..n_eff): _densify_blocks() turns them into entries with int
-2x2 steps and writes each row with one gather.  The dense ProjectorSet
-serves `project` and the oracles; so do the Kronecker-built E_i, e_i,
-B_N, B_P and P_N.  part_matrices() gives a projection as one n x n
+decompose.py uses only these.  The dense projections of the three parts
+are written from the same ANOVA tables, listed by the bit mask of T and
+held as ints over lcm(1..n_eff): _densify_blocks() turns them into
+entries with int 2x2 steps and writes each row with one gather.  The
+dense ProjectorSet holds only those three and, like Decomposition, sums
+them through PARTS into potential and harmonic (_Parts).  It serves
+`project` and the oracles; so do the Kronecker-built E_i, e_i, B_N, B_P
+and P_N.  part_matrices() gives a projection as one n x n
 matrix per V_T, on which `verify` checks idempotency and products.
 The last section keeps the M_S basis, sum_S c_S M_S with M_S =
 prod_{i in S} M_i, only for the two oracle routes to X of acceptance
@@ -58,6 +60,22 @@ PARTS = {
     SubspaceKind.POTENTIAL: (SubspaceKind.PURE_POTENTIAL, SubspaceKind.NONSTRATEGIC),
     SubspaceKind.HARMONIC: (SubspaceKind.NONSTRATEGIC, SubspaceKind.PURE_HARMONIC),
 }
+
+
+class _Parts(_Value):
+    """A value held as its three parts, as fields named after PART_KINDS."""
+
+    def _sum(self, parts: Sequence[SubspaceKind]):
+        first, *rest = (getattr(self, part.name.lower()) for part in parts)
+        return sum(rest, first)
+
+    def projection(self, kind: SubspaceKind):
+        """The projection onto a canonical subspace: the sum of its parts."""
+        return self._sum(PARTS[kind])
+
+    def total(self):
+        """The sum of the three parts."""
+        return self._sum(PART_KINDS)
 
 
 def build_E(space: GameSpace, player: int) -> Matrix:
@@ -225,36 +243,21 @@ def _densify_blocks(
     return Matrix.from_numerators(rows, den)
 
 
-class ProjectorSet(_Value):
-    """The five projections for one space; potential and harmonic sum the parts PARTS lists."""
+class ProjectorSet(_Parts):
+    """The projections onto the three parts for one space; the others sum them."""
 
-    _fields = (
-        "space",
-        "pure_potential",
-        "nonstrategic",
-        "pure_harmonic",
-        "potential",
-        "harmonic",
-    )
+    _fields = ("space", "pure_potential", "nonstrategic", "pure_harmonic")
 
     def __init__(
-        self,
-        space: GameSpace,
-        pure_potential: Matrix,
-        nonstrategic: Matrix,
-        pure_harmonic: Matrix,
-        potential: Matrix,
-        harmonic: Matrix,
+        self, space: GameSpace, pure_potential: Matrix, nonstrategic: Matrix, pure_harmonic: Matrix
     ) -> None:
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "pure_potential", pure_potential)
         object.__setattr__(self, "nonstrategic", nonstrategic)
         object.__setattr__(self, "pure_harmonic", pure_harmonic)
-        object.__setattr__(self, "potential", potential)
-        object.__setattr__(self, "harmonic", harmonic)
 
-    def projection(self, kind: SubspaceKind) -> Matrix:
-        return getattr(self, kind.name.lower())
+    potential = property(lambda self: self.projection(SubspaceKind.POTENTIAL))
+    harmonic = property(lambda self: self.projection(SubspaceKind.HARMONIC))
 
 
 def subspace_dimension(space: GameSpace, kind: SubspaceKind) -> int:
@@ -313,11 +316,8 @@ def build_projectors(space: GameSpace) -> ProjectorSet:
     counts = [space.strategy_counts[i - 1] for i in _player_bits(space)]
     gathers = _row_gathers(counts, space.n)
     return ProjectorSet(
-        space=space,
-        **{
-            kind.name.lower(): _densify_blocks(counts, *_block_tables(space, kind), gathers)
-            for kind in SubspaceKind
-        },
+        space,
+        *(_densify_blocks(counts, *_block_tables(space, kind), gathers) for kind in PART_KINDS),
     )
 
 

@@ -100,7 +100,7 @@ def _fraction_echelon(rows: list[list[Fraction]], pivot_width: int) -> list[int]
 
 def naive_rank(m: Matrix) -> int:
     """Plain Fraction Gaussian elimination; independent of the package kernels."""
-    return len(_fraction_echelon(m.to_lists(), m.ncols))
+    return len(_fraction_echelon(list(map(list, m.rows_iter())), m.ncols))
 
 
 def fraction_product(a: Matrix, b: Matrix) -> Matrix:

@@ -280,28 +280,35 @@ def test_verify_runs_all_checks(tmp_path, capsys):
 
 
 def test_verify_pins_the_harmonic_projections(tmp_path, capsys, monkeypatch):
-    # harmonic with player 1's and player 2's blocks swapped is still
-    # symmetric, idempotent and of the right trace; only the oracles see it
+    # pure harmonic with player 1's and player 2's blocks swapped is still
+    # symmetric, idempotent and of the right trace; with three players it is
+    # no longer the true projection (with two, the swap leaves it unchanged)
     real_build = cli.build_projectors
 
     def swapped(space):
         bundle = real_build(space)
         k = space.k
         order = [*range(k, 2 * k), *range(k), *range(2 * k, space.payoff_cells)]
-        rows = bundle.harmonic.numerators
-        harmonic = Matrix.from_numerators(
-            [[rows[p][q] for q in order] for p in order], bundle.harmonic.denominator
+        rows = bundle.pure_harmonic.numerators
+        pure_harmonic = Matrix.from_numerators(
+            [[rows[p][q] for q in order] for p in order], bundle.pure_harmonic.denominator
         )
-        assert harmonic != bundle.harmonic
+        assert pure_harmonic != bundle.pure_harmonic
         fields = {name: getattr(bundle, name) for name in ProjectorSet._fields}
-        return ProjectorSet(**{**fields, "harmonic": harmonic})
+        return ProjectorSet(**{**fields, "pure_harmonic": pure_harmonic})
 
     monkeypatch.setattr(cli, "build_projectors", swapped)
-    for game in (rps_game(), random_game(random.Random(461), GameSpace((2, 3, 2)))):
+    three_players = random_game(random.Random(461), GameSpace((2, 3, 2)))
+    for game in (symmetric_222(1, 1, 2, -1, 1, -1), three_players):
         code, out, _ = run_cli(capsys, "verify", write_game(tmp_path, game))
         assert code == 1
-        failed = [c["name"] for c in json.loads(out)["checks"] if not c["passed"]]
-        assert failed == ["pseudoinverse_oracles_match"]
+        failed = {c["name"] for c in json.loads(out)["checks"] if not c["passed"]}
+        assert {"projection_sum_is_identity", "pseudoinverse_oracles_match"} <= failed
+        assert not failed & {
+            "projections_symmetric",
+            "projections_idempotent",
+            "projection_traces_match_dimensions",
+        }
 
 
 def test_verify_does_not_pair_kinds_and_parts_by_enum_order(monkeypatch):
@@ -477,8 +484,11 @@ def test_internal_value_error_is_not_reported_as_bad_input(tmp_path, capsys, mon
 
 def test_cli_import_loads_no_dataclasses_inspect_or_typing():
     # a fresh interpreter: -S keeps site hooks, which may preload typing,
-    # out of the result, and -B writes no bytecode; the CLI must still
-    # load all six modules eagerly
+    # out of the result, and -B writes no bytecode.  The CLI must still load
+    # all six modules eagerly: bench/tracer.py imports gamedecomp.cli and
+    # then looks every traced module up in sys.modules, and loading the
+    # dense modules lazily would move their compile time into the timed
+    # set-up of the in-process benchmark workload
     src = str(Path(__file__).resolve().parents[1] / "src")
     script = (
         "import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); "

@@ -460,7 +460,7 @@ def test_densified_subset_product_is_scaled_e_set(space):
 
 def test_one_strategy_players_add_no_subset_work(monkeypatch):
     # every table has one entry per set of players with two or more
-    # strategies, a build turns one table per projection and distinct
+    # strategies, a build turns one table per part and distinct
     # (bit_i, bit_j, i == j) into entries, and decompose averages 2n
     # times plus once per effective player and grade for X; the checks
     # fail on the first excess call, so a route that scales with all
@@ -489,7 +489,7 @@ def test_one_strategy_players_add_no_subset_work(monkeypatch):
         space = GameSpace(counts)
         n_eff = sum(c > 1 for c in counts)
         budget["table"] = 2**n_eff
-        budget["tables"] = 5 * ((n_eff + 1) ** 2 + n_eff + 1)
+        budget["tables"] = 3 * ((n_eff + 1) ** 2 + n_eff + 1)
         if space.payoff_cells <= 100:
             build_projectors(space)
         budget["averages"] = 2 * space.n + n_eff * (n_eff + 1) // 2

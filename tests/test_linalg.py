@@ -375,7 +375,8 @@ def test_solve_linear_equals_fraction_back_substitution(data):
         # a column adding nothing to the rank of those before it is free
         ranks = [naive_rank(a.take_columns(range(j))) if j else 0 for j in range(n + 1)]
         free = [j for j in range(n) if ranks[j + 1] == ranks[j]]
-        assert all(not any(x.row_tuple(j)) for j in free)
+        rows = list(x.rows_iter())
+        assert all(not any(rows[j]) for j in free)
 
 
 def test_solve_all_zero_system():
@@ -429,7 +430,7 @@ def assert_canonical(m: Matrix) -> None:
 
 def assert_equals_oracle(m: Matrix, expected: list[list[Fraction]]) -> None:
     assert_canonical(m)
-    assert m.to_lists() == expected
+    assert list(map(list, m.rows_iter())) == expected
     assert [[m[i, j] for j in range(m.ncols)] for i in range(m.nrows)] == expected
     assert all(type(x) is Fraction for row in m.rows_iter() for x in row)
 
@@ -529,8 +530,8 @@ def test_entries_read_back_as_fractions_with_one_shared_zero():
     m = Matrix([[0, "1/2", 0], [3, 0, "1/2"]])
     zeros = [x for row in m.rows_iter() for x in row if x == 0]
     assert len({id(x) for x in zeros}) == 1
-    assert m[0, 0] is m[1, 1] is m.row_tuple(0)[2] is m.column_tuple(0)[0]
-    assert m.to_lists() == [[0, Fraction(1, 2), 0], [3, 0, Fraction(1, 2)]]
+    assert m[0, 0] is m[1, 1] is next(m.rows_iter())[2] is m.column_tuple(0)[0]
+    assert list(m.rows_iter()) == [(0, Fraction(1, 2), 0), (3, 0, Fraction(1, 2))]
 
 
 def test_from_numerators_checks_shape_and_denominator():

@@ -21,6 +21,7 @@ from gamedecomp.linalg import (
 )
 from gamedecomp.projectors import (
     PART_KINDS,
+    ProjectorSet,
     SubspaceKind,
     build_B_N,
     build_B_P,
@@ -212,6 +213,21 @@ def test_projector_bundle_algebra():
                 assert (parts[i] @ parts[j]).is_zero()
     assert bundle.potential == parts[0] + parts[1]
     assert bundle.harmonic == identity - parts[0]
+    assert ProjectorSet._fields == ("space", *(kind.name.lower() for kind in PART_KINDS))
+
+
+@PROPERTY
+@given(spaces(max_cells=60))
+def test_summed_projections_equal_their_own_tables(space):
+    # the bundle stores the three parts; potential and harmonic, their sums,
+    # equal the matrices written from their own ANOVA tables
+    bundle = build_projectors(space)
+    counts = [space.strategy_counts[i - 1] for i in projectors._player_bits(space)]
+    gathers = projectors._row_gathers(counts, space.n)
+    for kind in (SubspaceKind.POTENTIAL, SubspaceKind.HARMONIC):
+        tables = projectors._block_tables(space, kind)
+        assert bundle.projection(kind) == projectors._densify_blocks(counts, *tables, gathers)
+    assert bundle.total() == Matrix.identity(space.payoff_cells)
 
 
 @pytest.mark.parametrize("counts", [(1,), (1, 3), (3, 1, 1)])
@@ -230,10 +246,10 @@ def test_bundle_with_one_strategy_players_matches_the_oracles(counts):
 
 
 def _verdicts(space):
-    """(dense, on the parts) verdicts of idempotency for each kind, then of
-    each pairwise product of the three parts of the split being zero."""
+    """(dense, on the parts) verdicts of idempotency for each part of the
+    split, then of each pairwise product of two parts being zero."""
     bundle = build_projectors(space)
-    parts = {kind: part_matrices(space, kind) for kind in SubspaceKind}
+    parts = {kind: part_matrices(space, kind) for kind in PART_KINDS}
     out = {}
     for kind, ps in parts.items():
         m = bundle.projection(kind)
@@ -285,9 +301,9 @@ def test_bundle_entries_share_block_values():
     # profiles differ on
     space = GameSpace((4, 4, 4))
     bundle = build_projectors(space)
-    matrices = [bundle.projection(kind) for kind in SubspaceKind]
+    matrices = [bundle.projection(kind) for kind in PART_KINDS]
     objects = {id(x) for m in matrices for row in m.numerators for x in row}
-    assert len(objects) <= 5 * space.n**2 * 2**space.n
+    assert len(objects) <= 3 * space.n**2 * 2**space.n
 
 
 def test_subspace_dimensions_sum():
