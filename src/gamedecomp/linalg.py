@@ -12,12 +12,12 @@ Every operation runs on Python ints: a product takes integer dot
 products over the product of the denominators and reduces the result
 once, sums bring both operands to the least common denominator.  One
 fraction-free (Bareiss) elimination kernel works on the numerators and
-is behind rank, linear solving, inverses, range projectors and the
-full-rank factorization of Moore-Penrose inverses; the solver
-back-substitutes for the determinant times the solution, which is
-integral, and divides by the determinant once, as the result's
-denominator.  Group inverses come from the defining equation A@A@X = A.
-The module also provides the Kronecker and semitensor products.
+is behind rank, linear solving, inverses and the full-rank
+factorization of Moore-Penrose inverses; the solver back-substitutes
+for the determinant times the solution, which is integral, and divides
+by the determinant once, as the result's denominator.  Group inverses
+come from the defining equation A@A@X = A.  The module also provides
+the Kronecker and semitensor products.
 """
 
 from __future__ import annotations
@@ -506,17 +506,17 @@ def mp_inverse(a: Matrix) -> Matrix:
     return factor_g.T @ left @ right @ factor_f.T
 
 
-def range_projector(a: Matrix) -> Matrix:
-    """The orthogonal projector onto a's column space, a @ mp_inverse(a), exactly.
+def is_range_projector(p: Matrix, b: Matrix) -> bool:
+    """Whether p is the orthogonal projector onto b's column space, exactly.
 
-    Computed as F (F.T F)^-1 F.T with F the pivot columns of a, by one
-    solve; the zero matrix maps to the zero matrix.
+    If p is symmetric and b.T @ p == b.T, 1 is an eigenvalue of p at least
+    rank(b) times, so ||p||_F^2, the sum of p's squared eigenvalues, is at
+    most rank(b) iff all the others are 0.  No inverse is formed.
     """
-    pivots = _pivot_columns(a)
-    if not pivots:
-        return Matrix.zeros(a.nrows, a.nrows)
-    factor_f = a.take_columns(pivots)
-    return factor_f @ solve_linear(factor_f.T @ factor_f, factor_f.T)
+    if not p.is_symmetric() or b.T @ p != b.T:
+        return False
+    squares = sum(x * x for row in p.numerators for x in row)
+    return squares <= rank(b) * p.denominator**2
 
 
 def group_inverse_via_solve(a: Matrix) -> Matrix | None:

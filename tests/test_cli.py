@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from _helpers import random_game, rps_game, symmetric_222, symmetric_33
-from gamedecomp import cli
+from gamedecomp import cli, linalg
 from gamedecomp.cli import MAX_DENSE_CELLS, main
 from gamedecomp.games import Game, GameSpace, serialize_game
 from gamedecomp.linalg import Matrix
@@ -309,6 +309,19 @@ def test_verify_pins_the_harmonic_projections(tmp_path, capsys, monkeypatch):
             "projections_idempotent",
             "projection_traces_match_dimensions",
         }
+
+
+def test_verify_solves_no_system_and_forms_no_inverse(tmp_path, capsys, monkeypatch):
+    # the bundle is certified against its generators where it stands
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify recomputed a projection")
+
+    monkeypatch.setattr(linalg, "solve_linear", refuse)
+    monkeypatch.setattr(linalg, "mp_inverse", refuse)
+    game = random_game(random.Random(463), GameSpace((2, 3, 2)))
+    code, out, _ = run_cli(capsys, "verify", write_game(tmp_path, game))
+    assert code == 0
+    assert json.loads(out)["all_passed"] is True
 
 
 def test_verify_does_not_pair_kinds_and_parts_by_enum_order(monkeypatch):

@@ -36,9 +36,9 @@ from gamedecomp.linalg import (
     group_inverse_via_solve,
     hstack,
     inverse,
+    is_range_projector,
     kron,
     mp_inverse,
-    range_projector,
     rank,
     solve_linear,
     stp,
@@ -405,13 +405,18 @@ def test_inverse_and_mp_inverse_on_low_rank(data):
 
 @PROPERTY
 @given(st.data())
-def test_range_projector_equals_product_with_mp_inverse(data):
+def test_is_range_projector_accepts_only_the_product_with_mp_inverse(data):
     m, n = data.draw(SIDE), data.draw(SIDE)
     # full-rank draws, or products of narrower factors (the zero matrix included)
     a = data.draw(st.one_of(matrices(m, n), low_rank(m, n)))
-    projector = range_projector(a)
-    assert projector == fraction_product(a, mp_inverse(a))
-    assert projector.shape == (m, m)
+    projector = a @ mp_inverse(a)
+    assert is_range_projector(projector, a)
+    # the projector is unique, so any symmetric change to it is refused
+    corners = {0, m - 1}
+    bump = Matrix(
+        [[Fraction(1, 7) if {i, j} == corners else 0 for j in range(m)] for i in range(m)]
+    )
+    assert not is_range_projector(projector + bump, a)
 
 
 # -- integer-numerator storage against Fraction-entry oracles ---------------

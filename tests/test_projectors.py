@@ -14,6 +14,7 @@ from gamedecomp.linalg import (
     block_diag,
     group_inverse_via_solve,
     hstack,
+    is_range_projector,
     kron,
     mp_inverse,
     rank,
@@ -243,6 +244,29 @@ def test_bundle_with_one_strategy_players_matches_the_oracles(counts):
     assert bundle.harmonic == identity - bundle.pure_potential
     assert bundle.pure_harmonic == identity - bundle.potential
     assert group_inverse_closed_form(space) == group_inverse_via_solve(strategy_residual(space))
+
+
+@PROPERTY
+@given(spaces(max_cells=60))
+def test_is_range_projector_certifies_the_bundle_against_its_generators(space):
+    bundle = build_projectors(space)
+    true = {
+        build_B_P: bundle.potential,
+        build_B_N: bundle.nonstrategic,
+        build_P_N: bundle.pure_potential,
+    }
+    nk = space.payoff_cells
+    corners = {0, nk - 1}
+    bump = Matrix(
+        [[Fraction(1, 7) if {i, j} == corners else 0 for j in range(nk)] for i in range(nk)]
+    )
+    for build, projector in true.items():
+        generator = build(space)
+        # a projection onto a larger, smaller or other subspace is refused,
+        # unless the two subspaces coincide on this space
+        for other in true.values():
+            assert is_range_projector(other, generator) == (other == projector)
+        assert not is_range_projector(projector + bump, generator)
 
 
 def _verdicts(space):
