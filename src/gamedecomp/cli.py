@@ -19,6 +19,7 @@ from fractions import Fraction
 
 from gamedecomp import analysis
 from gamedecomp.decompose import (
+    PotentialFunction,
     _potential,
     _split,
     decompose,
@@ -194,6 +195,22 @@ def _check_dense(command: str, space: GameSpace) -> int | None:
 # -- subcommands --------------------------------------------------------
 
 
+def _definitional_checks(game: Game) -> dict[str, bool]:
+    """The subspace tests read off the definitions, keyed by subspace kind value."""
+    return {
+        "nonstrategic": analysis.check_nonstrategic_defn(game),
+        "pure-harmonic": analysis.check_pure_harmonic_defn(game),
+        "harmonic": analysis.check_harmonic_defn(game),
+    }
+
+
+def _routes_agree(projected: PotentialFunction | None, solved: PotentialFunction | None) -> bool:
+    """Whether the projected and solved potentials exist together and differ by a constant."""
+    return (projected is None) == (solved is None) and (
+        projected is None or differs_by_constant(projected.values, solved.values)
+    )
+
+
 def _cmd_decompose(args: argparse.Namespace) -> int:
     game = _load_game(args)
     parts = decompose(game)
@@ -216,11 +233,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     game = _load_game(args)
     parts = decompose(game)
     memberships = {kind.value: parts.is_member(kind) for kind in SubspaceKind}
-    checks = {
-        "nonstrategic": analysis.check_nonstrategic_defn(game),
-        "pure-harmonic": analysis.check_pure_harmonic_defn(game),
-        "harmonic": analysis.check_harmonic_defn(game),
-    }
+    checks = _definitional_checks(game)
     agreement = {name: checks[name] == memberships[name] for name in checks}
     doc = {
         "command": "classify",
@@ -243,7 +256,7 @@ def _cmd_potential(args: argparse.Namespace) -> int:
             _emit_csv(["potential,false"], args.decimal)
             return 0
         doc["potential"] = False
-        doc["routes_agree"] = solved is None
+        doc["routes_agree"] = _routes_agree(projected, solved)
         if args.experimental_raw_vector:
             doc["experimental_raw_vector"] = [
                 _render(x, args.decimal) for x in raw_potential_vector(game)
@@ -259,9 +272,7 @@ def _cmd_potential(args: argparse.Namespace) -> int:
     doc["potential"] = True
     doc["values"] = [_render(x, args.decimal) for x in values]
     doc["shift"] = _render(args.shift or Fraction(0), None)
-    doc["routes_agree_up_to_constant"] = solved is not None and differs_by_constant(
-        projected.values, solved.values
-    )
+    doc["routes_agree_up_to_constant"] = _routes_agree(projected, solved)
     _emit_json(doc, args.decimal)
     return 0
 
@@ -331,7 +342,7 @@ def _verification_checks(game: Game) -> list[tuple[str, bool]]:
     split = [part_matrices(space, kind) for kind in PART_KINDS]
     parts_g, phi = _split(game)
     part_vectors = {kind: parts_g.projection(kind).structure_vector() for kind in PART_KINDS}
-    projected = _potential(game, parts_g, phi)
+    memberships = {kind.value: parts_g.is_member(kind) for kind in SubspaceKind}
     solved = solve_potential_equation(game)
     return [
         (
@@ -370,16 +381,9 @@ def _verification_checks(game: Game) -> list[tuple[str, bool]]:
         ),
         (
             "definitional_checks_agree",
-            analysis.check_nonstrategic_defn(game) == parts_g.is_member(SubspaceKind.NONSTRATEGIC)
-            and analysis.check_pure_harmonic_defn(game)
-            == parts_g.is_member(SubspaceKind.PURE_HARMONIC)
-            and analysis.check_harmonic_defn(game) == parts_g.is_member(SubspaceKind.HARMONIC),
+            all(held == memberships[name] for name, held in _definitional_checks(game).items()),
         ),
-        (
-            "potential_routes_agree",
-            (projected is None) == (solved is None)
-            and (projected is None or differs_by_constant(projected.values, solved.values)),
-        ),
+        ("potential_routes_agree", _routes_agree(_potential(game, parts_g, phi), solved)),
         ("nonstrategic_direct_agrees", nonstrategic_component_direct(game) == parts_g.nonstrategic),
     ]
 

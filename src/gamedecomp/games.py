@@ -28,7 +28,7 @@ from itertools import accumulate, product
 
 from gamedecomp.linalg import Matrix, parse_rational
 
-DEFAULT_CELL_CAP = 4096
+CELL_CAP = 4096
 _ZERO = Fraction(0)
 
 
@@ -120,16 +120,14 @@ class GameSpace(_Value):
 
     The signature [n; k_1, ..., k_n] fixes the payoff space dimension
     n*k with k = prod(k_i).  Construction enforces k_i >= 1, n >= 1,
-    and the payoff-cell cap n*k <= cell_cap; the cap is a memory guard
-    and does not take part in equality.
+    and the payoff-cell cap n*k <= CELL_CAP, a memory guard.
     """
 
     _fields = ("strategy_counts",)
 
-    def __init__(self, strategy_counts: Sequence[int], cell_cap: int = DEFAULT_CELL_CAP) -> None:
+    def __init__(self, strategy_counts: Sequence[int]) -> None:
         counts = tuple(strategy_counts)
         object.__setattr__(self, "strategy_counts", counts)
-        object.__setattr__(self, "cell_cap", cell_cap)
         if len(counts) < 1:
             raise ValueError("a game space needs at least one player")
         if any(not isinstance(c, int) or isinstance(c, bool) or c < 1 for c in counts):
@@ -137,14 +135,14 @@ class GameSpace(_Value):
         # derived once: the profile count, and each player's index stride
         object.__setattr__(self, "k", math.prod(counts))
         cells = self.n * self.k
-        if cells > cell_cap:
+        if cells > CELL_CAP:
             # huge strategy counts can give a cell count too long for
             # str(); its bit length is enough to refuse the space
             bits = cells.bit_length()
             size = str(cells) if bits <= 64 else f"at least 2**{bits - 1}"
             raise SpaceCapError(
                 f"space [{self.n}; {_cut(','.join(map(str, counts)))}] has "
-                f"{size} payoff cells, exceeding the cap of {cell_cap}"
+                f"{size} payoff cells, exceeding the cap of {CELL_CAP}"
             )
         # after the cap check: a refused space's partial products can be huge
         strides = tuple(accumulate(reversed(counts[1:]), operator.mul, initial=1))[::-1]
@@ -378,7 +376,7 @@ def _format_rational(x: Fraction) -> object:
     return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-def parse_game(text: str, cell_cap: int = DEFAULT_CELL_CAP) -> Game:
+def parse_game(text: str) -> Game:
     """Parse a game document.
 
     The document is a JSON object with "players" (int), "strategies"
@@ -410,7 +408,7 @@ def parse_game(text: str, cell_cap: int = DEFAULT_CELL_CAP) -> Game:
         raise MalformedDocumentError(
             'malformed document: strategy counts must be integers >= 1'
         )
-    space = GameSpace(tuple(strategies), cell_cap=cell_cap)
+    space = GameSpace(tuple(strategies))
     payoffs = doc["payoffs"]
     if not isinstance(payoffs, list) or len(payoffs) != players:
         raise PayoffCountError(

@@ -12,12 +12,12 @@ Every operation runs on Python ints: a product takes integer dot
 products over the product of the denominators and reduces the result
 once, sums bring both operands to the least common denominator.  One
 fraction-free (Bareiss) elimination kernel works on the numerators and
-is behind rank, linear solving, inverses and the full-rank
-factorization of Moore-Penrose inverses; the solver back-substitutes
-for the determinant times the solution, which is integral, and divides
-by the determinant once, as the result's denominator.  Group inverses
-come from the defining equation A@A@X = A.  The module also provides
-the Kronecker and semitensor products.
+serves rank and linear solving; the solver back-substitutes for the
+determinant times the solution, which is integral, and divides by the
+determinant once, as the result's denominator.  Group inverses come from
+the defining equation A@A@X = A, and the Moore-Penrose inverse is the
+group inverse of A.T@A times A.T, the paper's route through group
+inverses.  The module also provides the Kronecker and semitensor products.
 """
 
 from __future__ import annotations
@@ -215,10 +215,6 @@ class Matrix:
     def rows_iter(self) -> Iterator[tuple[Fraction, ...]]:
         entry = _Entries(self._den).__getitem__
         return (tuple(map(entry, row)) for row in self._num)
-
-    def take_columns(self, indices: Sequence[int]) -> "Matrix":
-        columns = tuple([tuple([row[j] for j in indices]) for row in self._num])
-        return Matrix._reduced(columns, self._den)
 
     # -- algebra -------------------------------------------------------
 
@@ -430,14 +426,9 @@ def _bareiss_echelon(rows: list[list[int]], pivot_width: int) -> tuple[list[list
     return rows, pivots
 
 
-def _pivot_columns(a: Matrix) -> list[int]:
-    """Pivot columns of a's row echelon form, in order."""
-    return _bareiss_echelon([list(row) for row in a.numerators], a.ncols)[1]
-
-
 def rank(a: Matrix) -> int:
     """Rank over the rationals."""
-    return len(_pivot_columns(a))
+    return len(_bareiss_echelon([list(row) for row in a.numerators], a.ncols)[1])
 
 
 def solve_linear(a: Matrix, b: Matrix) -> Matrix | None:
@@ -477,35 +468,6 @@ def solve_linear(a: Matrix, b: Matrix) -> Matrix | None:
     return Matrix._reduced(tuple(map(tuple, y)), det)
 
 
-def inverse(a: Matrix) -> Matrix:
-    """Exact inverse of a nonsingular square matrix."""
-    if a.nrows != a.ncols:
-        raise ValueError("inverse requires a square matrix")
-    result = solve_linear(a, Matrix.identity(a.nrows))
-    if result is None:
-        raise ValueError("matrix is singular")
-    return result
-
-
-def mp_inverse(a: Matrix) -> Matrix:
-    """Moore-Penrose inverse, exactly.
-
-    Computed through the full-rank factorization a = F @ G with F the
-    pivot columns of a and G the unique solution of F @ G = a (F has
-    full column rank); then the inverse is
-    G.T @ inv(G@G.T) @ inv(F.T@F) @ F.T.  The zero matrix maps to the
-    zero matrix of transposed shape.
-    """
-    pivots = _pivot_columns(a)
-    if not pivots:
-        return Matrix.zeros(a.ncols, a.nrows)
-    factor_f = a.take_columns(pivots)
-    factor_g = solve_linear(factor_f, a)
-    left = inverse(factor_g @ factor_g.T)
-    right = inverse(factor_f.T @ factor_f)
-    return factor_g.T @ left @ right @ factor_f.T
-
-
 def is_range_projector(p: Matrix, b: Matrix) -> bool:
     """Whether p is the orthogonal projector onto b's column space, exactly.
 
@@ -532,3 +494,13 @@ def group_inverse_via_solve(a: Matrix) -> Matrix | None:
     if candidate is None:
         return None
     return a @ candidate @ candidate
+
+
+def mp_inverse(a: Matrix) -> Matrix:
+    """Moore-Penrose inverse, exactly: a+ = (a.T @ a)# @ a.T.
+
+    The Gram matrix a.T @ a is symmetric, so its group inverse exists and
+    equals its Moore-Penrose inverse (Ben-Israel & Greville, Generalized
+    Inverses, 2003).  The zero matrix maps to the transposed zero matrix.
+    """
+    return group_inverse_via_solve(a.T @ a) @ a.T

@@ -141,10 +141,6 @@ def fraction_transpose(a: list[list[Fraction]]) -> list[list[Fraction]]:
     return [[row[j] for row in a] for j in range(len(a[0]))]
 
 
-def fraction_columns(a: list[list[Fraction]], indices) -> list[list[Fraction]]:
-    return [[row[j] for j in indices] for row in a]
-
-
 def fraction_hstack(blocks: list[list[list[Fraction]]]) -> list[list[Fraction]]:
     return [[x for block in blocks for x in block[i]] for i in range(len(blocks[0]))]
 

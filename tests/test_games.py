@@ -35,10 +35,7 @@ def test_space_validation():
         GameSpace((2, 0))
     with pytest.raises(SpaceCapError):
         GameSpace((64, 65))
-    # the cap is configurable and ignored by equality; so are the derived
-    # profile count and strides
-    assert GameSpace((2, 2), cell_cap=100) == GameSpace((2, 2))
-    assert hash(GameSpace((2, 2), cell_cap=100)) == hash(GameSpace((2, 2)))
+    # the derived profile count and strides stay out of repr
     assert repr(space) == "GameSpace(strategy_counts=(2, 3, 2))"
 
 

@@ -70,17 +70,14 @@ def test_equality_and_hash_ignore_display_and_guard_fields():
     unnamed = Game(SPACE, GAME.payoff_rows)
     assert renamed == unnamed == GAME
     assert hash(renamed) == hash(unnamed) == hash(GAME)
-    assert GameSpace((2, 1), cell_cap=4) == SPACE
-    assert hash(GameSpace((2, 1), cell_cap=4)) == hash(SPACE)
     assert Game(SPACE, [[1, 0], [0, -3]]) != GAME
     assert GameSpace((1, 2)) != SPACE
     assert POTENTIAL != PotentialFunction(POTENTIAL.values)
-    assert len({GAME, renamed, unnamed, SPACE, GameSpace((2, 1), cell_cap=4)}) == 2
+    assert len({GAME, renamed, unnamed, SPACE}) == 2
 
 
 def test_repr_strings():
     assert repr(SPACE) == "GameSpace(strategy_counts=(2, 1))"
-    assert repr(GameSpace((2, 1), cell_cap=4)) == "GameSpace(strategy_counts=(2, 1))"
     assert repr(GAME) == (
         "Game(space=GameSpace(strategy_counts=(2, 1)), "
         "payoff_rows=((Fraction(1, 1), Fraction(1, 2)), (Fraction(0, 1), Fraction(-3, 1))), "
