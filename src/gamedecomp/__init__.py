@@ -19,7 +19,7 @@ from gamedecomp.decompose import (
     potential_function,
     solve_potential_equation,
 )
-from gamedecomp.analysis import NashReport, harmonic_nash_kernel_dim, pure_nash
+from gamedecomp.analysis import harmonic_nash_kernel_dim, pure_nash
 
 __version__ = "0.1.0"
 
@@ -38,7 +38,6 @@ __all__ = [
     "is_member",
     "potential_function",
     "solve_potential_equation",
-    "NashReport",
     "harmonic_nash_kernel_dim",
     "pure_nash",
 ]

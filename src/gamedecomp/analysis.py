@@ -15,20 +15,8 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from gamedecomp.decompose import PotentialFunction, differs_by_constant
-from gamedecomp.games import Game, GameSpace, _Value
+from gamedecomp.games import Game, GameSpace
 from gamedecomp.projectors import SubspaceKind, subspace_dimension
-
-
-class NashReport(_Value):
-    """Pure equilibria plus the uniformly-mixed equilibrium verdict."""
-
-    _fields = ("pure_equilibria", "uniform_mixed_is_nash")
-
-    def __init__(
-        self, pure_equilibria: tuple[tuple[int, ...], ...], uniform_mixed_is_nash: bool
-    ) -> None:
-        object.__setattr__(self, "pure_equilibria", pure_equilibria)
-        object.__setattr__(self, "uniform_mixed_is_nash", uniform_mixed_is_nash)
 
 
 def _own_lines(game: Game):
@@ -139,10 +127,3 @@ def harmonic_nash_kernel_dim(space: GameSpace, profile: Sequence[int]) -> int:
         return 0
     return subspace_dimension(space, SubspaceKind.PURE_HARMONIC) - sum(reduced) + 1
 
-
-def nash_report(game: Game) -> NashReport:
-    """Bundle the pure enumeration and the uniform-mixing verdict."""
-    return NashReport(
-        pure_equilibria=tuple(pure_nash(game)),
-        uniform_mixed_is_nash=uniform_mixed_nash_check(game),
-    )

@@ -35,10 +35,17 @@ from gamedecomp.games import (
     GameSpace,
     MalformedDocumentError,
     _cut,
-    _format_rational,
+    game_document,
     parse_game,
 )
-from gamedecomp.linalg import Matrix, _shown, is_range_projector, parse_rational
+from gamedecomp.linalg import (
+    Matrix,
+    ResultTooLongError,
+    _shown,
+    format_rational,
+    is_range_projector,
+    parse_rational,
+)
 from gamedecomp.projectors import (
     PART_KINDS,
     SubspaceKind,
@@ -54,18 +61,12 @@ TABLE_COMMANDS = ("project", "potential")
 # 10**digits is built for every rendered value, and CPython will not
 # print an integer of more than 4300 digits
 MAX_DECIMAL_DIGITS = 1000
-# 2**14284 < 10**4300: CPython prints integers of up to 4300 digits
-MAX_PRINTED_BITS = 14_284
 # project and verify build dense nk x nk matrices.  verify certifies the
 # bundle against its generators by products and ranks; one child takes
 # 0.2 s of CPU at 81 cells, 0.4 s at 192, 0.8-1.4 s at 324, 1.5-2.4 s at
 # 384 and 7.5-9.8 s (33 MB) at 512; project takes 0.9 s (72 MB) at 512
 # cells and its output runs to megabytes
 MAX_DENSE_CELLS = 512
-
-
-class ResultTooLongError(Exception):
-    """A result holds a number too long to print exactly."""
 
 
 def _parse_space(text: str) -> GameSpace:
@@ -95,41 +96,8 @@ def _parse_rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _printable(n: int) -> int:
-    if n.bit_length() > MAX_PRINTED_BITS:
-        raise ResultTooLongError(
-            f"a result has a number of more than {MAX_PRINTED_BITS} bits, too long to print"
-        )
-    return n
-
-
-def _decimal_string(x: Fraction, digits: int) -> str:
-    scaled = _printable(round(x * Fraction(10**digits)))
-    sign = "-" if scaled < 0 else ""
-    magnitude = str(abs(scaled)).rjust(digits + 1, "0")
-    if digits == 0:
-        return f"{sign}{magnitude}"
-    return f"{sign}{magnitude[:-digits]}.{magnitude[-digits:]}"
-
-
-def _render(x: Fraction, decimal: int | None) -> object:
-    if decimal is not None:
-        return _decimal_string(x, decimal)
-    _printable(x.numerator)
-    _printable(x.denominator)
-    return _format_rational(x)
-
-
 def _space_doc(space: GameSpace) -> dict:
     return {"players": space.n, "strategies": list(space.strategy_counts)}
-
-
-def _game_doc(game: Game, decimal: int | None) -> dict:
-    doc = _space_doc(game.space)
-    doc["payoffs"] = [[_render(x, decimal) for x in row] for row in game.payoff_rows]
-    if game.name is not None:
-        doc["name"] = game.name
-    return doc
 
 
 def _emit_json(doc: dict, decimal: int | None) -> None:
@@ -219,9 +187,9 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
         "space": _space_doc(game.space),
         "arithmetic": "exact-rational" if args.decimal is None else "decimal",
         "components": {
-            "pure_potential": _game_doc(parts.pure_potential, args.decimal),
-            "nonstrategic": _game_doc(parts.nonstrategic, args.decimal),
-            "pure_harmonic": _game_doc(parts.pure_harmonic, args.decimal),
+            "pure_potential": game_document(parts.pure_potential, args.decimal),
+            "nonstrategic": game_document(parts.nonstrategic, args.decimal),
+            "pure_harmonic": game_document(parts.pure_harmonic, args.decimal),
         },
         "components_sum_to_input": parts.total() == game,
     }
@@ -259,19 +227,19 @@ def _cmd_potential(args: argparse.Namespace) -> int:
         doc["routes_agree"] = _routes_agree(projected, solved)
         if args.experimental_raw_vector:
             doc["experimental_raw_vector"] = [
-                _render(x, args.decimal) for x in raw_potential_vector(game)
+                format_rational(x, args.decimal) for x in raw_potential_vector(game)
             ]
             doc["experimental_raw_vector_semantics"] = "unspecified"
         _emit_json(doc, args.decimal)
         return 0
     values = projected.values if args.shift is None else projected.shifted(args.shift).values
     if args.format == "csv":
-        rendered = [f"{idx},{_render(x, args.decimal)}" for idx, x in enumerate(values, start=1)]
+        rendered = [f"{i},{format_rational(x, args.decimal)}" for i, x in enumerate(values, 1)]
         _emit_csv(["profile_index,value", *rendered], args.decimal)
         return 0
     doc["potential"] = True
-    doc["values"] = [_render(x, args.decimal) for x in values]
-    doc["shift"] = _render(args.shift or Fraction(0), None)
+    doc["values"] = [format_rational(x, args.decimal) for x in values]
+    doc["shift"] = format_rational(args.shift or 0)
     doc["routes_agree_up_to_constant"] = _routes_agree(projected, solved)
     _emit_json(doc, args.decimal)
     return 0
@@ -286,7 +254,8 @@ def _cmd_project(args: argparse.Namespace) -> int:
         print("error: projection sum identity failed", file=sys.stderr)
         return 1
     kind = SubspaceKind(args.kind)
-    rows = [[_render(x, args.decimal) for x in row] for row in bundle.projection(kind).rows_iter()]
+    projection = bundle.projection(kind)
+    rows = [[format_rational(x, args.decimal) for x in row] for row in projection.rows_iter()]
     if args.format == "csv":
         _emit_csv([",".join(map(str, row)) for row in rows], args.decimal)
         return 0
@@ -304,12 +273,11 @@ def _cmd_project(args: argparse.Namespace) -> int:
 
 def _cmd_nash(args: argparse.Namespace) -> int:
     game = _load_game(args)
-    report = analysis.nash_report(game)
     doc = {
         "command": "nash",
         "space": _space_doc(game.space),
-        "pure_equilibria": [list(s) for s in report.pure_equilibria],
-        "uniform_mixed_is_nash": report.uniform_mixed_is_nash,
+        "pure_equilibria": [list(s) for s in analysis.pure_nash(game)],
+        "uniform_mixed_is_nash": analysis.uniform_mixed_nash_check(game),
     }
     _emit_json(doc, args.decimal)
     return 0

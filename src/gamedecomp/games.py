@@ -26,7 +26,13 @@ from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from itertools import accumulate, product
 
-from gamedecomp.linalg import Matrix, parse_rational
+from gamedecomp.linalg import (
+    Matrix,
+    ResultTooLongError,
+    _check_bits,
+    format_rational,
+    parse_rational,
+)
 
 CELL_CAP = 4096
 _ZERO = Fraction(0)
@@ -372,10 +378,6 @@ class Game(_Value):
 # -- document format ----------------------------------------------------
 
 
-def _format_rational(x: Fraction) -> object:
-    return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
 def parse_game(text: str) -> Game:
     """Parse a game document.
 
@@ -383,7 +385,9 @@ def parse_game(text: str) -> Game:
     (list of ints, one per player), "payoffs" (one array per player,
     each with one entry per profile in index order), and an optional
     "name".  Distinct failure modes raise distinct errors, all of them
-    GameFormatError subclasses.
+    GameFormatError subclasses.  A payoff whose numerator or denominator
+    has more than MAX_PRINTED_BITS bits is refused, so that
+    serialize_game can write every parsed game back.
     """
     try:
         doc = json.loads(text)
@@ -425,8 +429,8 @@ def parse_game(text: str) -> Game:
         parsed = []
         for j, cell in enumerate(row, start=1):
             try:
-                parsed.append(as_rational(cell))
-            except GameFormatError as exc:
+                parsed.append(_check_bits(as_rational(cell)))
+            except (GameFormatError, ResultTooLongError) as exc:
                 raise MalformedDocumentError(
                     f"malformed document: payoffs[{i}][{j}]: {exc}"
                 ) from None
@@ -437,17 +441,23 @@ def parse_game(text: str) -> Game:
     return Game(space, tuple(rows), name=name)
 
 
-def serialize_game(game: Game) -> str:
-    """Serialize a game to its document form.
-
-    Integers are emitted as JSON numbers, everything else as "p/q"
-    strings, so parse_game(serialize_game(g)) == g exactly.
-    """
+def game_document(game: Game, digits: int | None = None) -> dict[str, object]:
+    """The game's document: players, strategies, payoffs by format_rational, then any name."""
     doc: dict[str, object] = {
         "players": game.space.n,
         "strategies": list(game.space.strategy_counts),
-        "payoffs": [[_format_rational(x) for x in row] for row in game.payoff_rows],
+        "payoffs": [[format_rational(x, digits) for x in row] for row in game.payoff_rows],
     }
     if game.name is not None:
         doc["name"] = game.name
-    return json.dumps(doc, indent=2) + "\n"
+    return doc
+
+
+def serialize_game(game: Game) -> str:
+    """Serialize a game to its exact document form.
+
+    Integers are emitted as JSON numbers, everything else as "p/q"
+    strings, so parse_game(serialize_game(g)) == g exactly.  Raises
+    ResultTooLongError, a ValueError, for a payoff too long to print.
+    """
+    return json.dumps(game_document(game), indent=2) + "\n"

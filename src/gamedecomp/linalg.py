@@ -1,4 +1,5 @@
-"""Exact rational matrices and the linear algebra the decomposition rests on.
+"""Exact rationals read and written, exact rational matrices, and the
+linear algebra the decomposition rests on.
 
 A Matrix is stored as rows of integer numerators over one positive
 integer denominator, in canonical form: the denominator and all the
@@ -6,7 +7,10 @@ numerators have no common factor, so the zero matrix has denominator
 1.  Two matrices are equal exactly when their denominators and
 numerators are, and every result in this module is exact: rank
 decisions never depend on a tolerance.  Entries read back as
-`fractions.Fraction`; floats and bools are refused, and strings go through parse_rational.
+`fractions.Fraction`; floats and bools are refused, and strings go
+through parse_rational, the one rational reader.  format_rational, the
+one writer, gives a rational exactly, as an int or "p/q", or as a
+fixed-point decimal string.
 
 Every operation runs on Python ints: a product takes integer dot
 products over the product of the denominators and reduces the result
@@ -33,8 +37,16 @@ Scalar = int | Fraction
 Rows = tuple[tuple[int, ...], ...]
 
 _ZERO = Fraction(0)
+# CPython reads and prints integers of up to 4300 digits
 MAX_DECIMAL_EXPONENT = 4300
+# the most bits an integer below 10**MAX_DECIMAL_EXPONENT is sure to fit in
+# (2**14284 < 10**4300), so every number of at most this many bits prints
+MAX_PRINTED_BITS = (10**MAX_DECIMAL_EXPONENT).bit_length() - 1
 _EXPONENT = re.compile(r"[eE]([-+]?[0-9]+)$")
+
+
+class ResultTooLongError(ValueError):
+    """A number has more than MAX_PRINTED_BITS bits, too long to print exactly."""
 
 
 def parse_rational(text: str) -> Fraction:
@@ -58,6 +70,31 @@ def parse_rational(text: str) -> Fraction:
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"cannot parse rational string {_shown(text)}: {exc}") from None
     raise ValueError(f"decimal exponent of {_shown(text)} exceeds {MAX_DECIMAL_EXPONENT}")
+
+
+def _check_bits(x: Scalar) -> Scalar:
+    """Return x, or raise ResultTooLongError if its numerator or denominator is too long."""
+    if max(x.numerator.bit_length(), x.denominator.bit_length()) > MAX_PRINTED_BITS:
+        raise ResultTooLongError(
+            f"a number of more than {MAX_PRINTED_BITS} bits is too long to print"
+        )
+    return x
+
+
+def format_rational(x: Scalar, digits: int | None = None) -> int | str:
+    """Write x exactly, as an int or a "p/q" string; or, given digits, as a
+    fixed-point string rounded half to even to that many decimal places.
+
+    parse_rational reads either form back, the fixed-point one as its
+    rounded value.  Raises ResultTooLongError for a number to print of
+    more than MAX_PRINTED_BITS bits.
+    """
+    if digits is None:
+        _check_bits(x)
+        return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    scaled = _check_bits(round(x * Fraction(10**digits)))
+    text = ("-" if scaled < 0 else "") + str(abs(scaled)).rjust(digits + 1, "0")
+    return f"{text[:-digits]}.{text[-digits:]}" if digits else text
 
 
 def _shown(text: str) -> str:

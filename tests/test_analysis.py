@@ -28,7 +28,6 @@ from gamedecomp.analysis import (
     check_pure_harmonic_defn,
     harmonic_nash_kernel_dim,
     harmonic_pure_nash_zero_check,
-    nash_report,
     pure_nash,
     uniform_mixed_nash_check,
 )
@@ -261,12 +260,6 @@ def test_kernel_contains_exactly_the_zero_check_games():
     if harmonic_pure_nash_zero_check(game, (1, 1)):
         # dimension 0 means only the zero game passes at (1, 1)
         assert game == Game.zero(space)
-
-
-def test_nash_report_bundles_both_answers():
-    report = nash_report(rps_game())
-    assert report.pure_equilibria == ()
-    assert report.uniform_mixed_is_nash
 
 
 @PROPERTY

@@ -484,6 +484,26 @@ def test_unreadable_inputs_and_unprintable_results_fail_cleanly(tmp_path, capsys
     assert "too long to print" in err and len(err) < 200
 
 
+def test_payoffs_too_long_to_write_back_are_refused(tmp_path, capsys):
+    path = tmp_path / "wide.json"
+    widest = 2**linalg.MAX_PRINTED_BITS - 1
+    for payoff, expected in [
+        ('"1e4300"', 1),
+        ('"1e-4300"', 1),
+        ("9" + "0" * 4299, 1),
+        ('"1e4299"', 0),
+        (str(widest), 0),
+    ]:
+        doc = '{"players": 1, "strategies": [2], "payoffs": [[%s, 0]]}' % payoff
+        path.write_text(doc, encoding="utf-8")
+        code, out, err = run_cli(capsys, "nash", str(path))
+        assert code == expected
+        if expected:
+            assert out == ""
+            assert err.startswith("error: malformed document: payoffs[1][1]: ")
+            assert "too long to print" in err and len(err) < 200
+
+
 def test_internal_value_error_is_not_reported_as_bad_input(tmp_path, capsys, monkeypatch):
     def broken(game):
         raise ValueError("internal fault")

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from _helpers import PROPERTY, random_game, rps_game, spaces
 from gamedecomp.games import (
@@ -20,7 +21,7 @@ from gamedecomp.games import (
     parse_game,
     serialize_game,
 )
-from gamedecomp.linalg import Matrix, stp
+from gamedecomp.linalg import MAX_PRINTED_BITS, Matrix, ResultTooLongError, stp
 from gamedecomp.projectors import build_E
 
 
@@ -289,6 +290,50 @@ def test_parse_rational_and_decimal_strings():
     text = '{"players": 1, "strategies": [2], "payoffs": [["−9/8", "0.75"]]}'
     game = parse_game(text)
     assert game.payoff_rows[0] == (Fraction(-9, 8), Fraction(3, 4))
+
+
+# the widest integer serialize_game writes back
+WIDEST = 2**MAX_PRINTED_BITS - 1
+
+
+@st.composite
+def wide_games(draw):
+    """Games of at most 60 cells whose payoffs are small or near the printable bound."""
+    space = draw(spaces(max_cells=60))
+    wide = st.integers(0, 2**16).map(lambda d: WIDEST - d)
+    numerators = st.one_of(st.integers(-9, 9), wide, wide.map(lambda n: -n))
+    cells = st.builds(Fraction, numerators, st.one_of(st.integers(1, 12), wide))
+    payoffs = draw(st.lists(cells, min_size=space.payoff_cells, max_size=space.payoff_cells))
+    return Game.from_vector(space, payoffs)
+
+
+@PROPERTY
+@given(wide_games())
+def test_parse_reads_back_what_serialize_writes(game):
+    assert parse_game(serialize_game(game)) == game
+
+
+def test_parse_accepts_only_payoffs_serialize_can_write():
+    doc = '{"players": 1, "strategies": [2], "payoffs": [[0, %s]]}'
+    accepted = [
+        ('"1e4299"', 10**4299),
+        (str(WIDEST), WIDEST),
+        (f'"-1/{WIDEST}"', Fraction(-1, WIDEST)),
+    ]
+    for payoff, value in accepted:
+        game = parse_game(doc % payoff)
+        assert game.payoff_rows[0][1] == value
+        assert parse_game(serialize_game(game)) == game
+    # 10**4300 and 9 * 10**4299 have 14,285 bits
+    for payoff in ('"1e4300"', '"1e-4300"', "9" + "0" * 4299):
+        with pytest.raises(MalformedDocumentError, match=r"payoffs\[1\]\[2\]: .*too long"):
+            parse_game(doc % payoff)
+
+
+def test_serialize_refuses_a_payoff_too_long_to_print():
+    game = Game(GameSpace((1,)), ((Fraction(2**MAX_PRINTED_BITS),),))
+    with pytest.raises(ResultTooLongError, match="too long to print"):
+        serialize_game(game)
 
 
 def test_decimal_exponent_is_bounded():

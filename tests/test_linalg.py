@@ -30,14 +30,18 @@ from _helpers import (
 )
 from gamedecomp import linalg
 from gamedecomp.linalg import (
+    MAX_PRINTED_BITS,
     Matrix,
+    ResultTooLongError,
     _bareiss_echelon,
     block_diag,
+    format_rational,
     group_inverse_via_solve,
     hstack,
     is_range_projector,
     kron,
     mp_inverse,
+    parse_rational,
     rank,
     solve_linear,
     stp,
@@ -61,6 +65,31 @@ def test_string_entries_take_the_rational_grammar():
     for text, reason in [("1e2000000", "exponent"), ("1_000", "ASCII"), ("١", "ASCII")]:
         with pytest.raises(ValueError, match=reason):
             Matrix([[text]])
+
+
+def test_format_rational_writes_what_parse_rational_reads():
+    assert MAX_PRINTED_BITS == 14_284
+    cases = [
+        (Fraction(0), None, 0),
+        (Fraction(-3), None, -3),
+        (Fraction(-9, 8), None, "-9/8"),
+        (Fraction(-9, 8), 0, "-1"),
+        (Fraction(-1, 200), 2, "0.00"),
+        (Fraction(-1, 200), 3, "-0.005"),
+        (Fraction(5, 2), 0, "2"),
+        (Fraction(2, 3), 4, "0.6667"),
+        (7, 2, "7.00"),
+    ]
+    for x, digits, written in cases:
+        assert format_rational(x, digits) == written
+        read = parse_rational(str(written))
+        assert read == (x if digits is None else round(Fraction(x), digits))
+    big = 2**MAX_PRINTED_BITS
+    assert parse_rational(format_rational(Fraction(1, big - 1))) == Fraction(1, big - 1)
+    for x, digits in [(big, None), (Fraction(1, big), None), (Fraction(-big, 3), None), (big, 0)]:
+        with pytest.raises(ResultTooLongError, match="too long to print"):
+            format_rational(x, digits)
+    assert issubclass(ResultTooLongError, ValueError)
 
 
 def test_ragged_rows_rejected():

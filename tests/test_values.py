@@ -6,7 +6,6 @@ from fractions import Fraction
 
 import pytest
 
-from gamedecomp.analysis import nash_report
 from gamedecomp.decompose import PotentialFunction, decompose
 from gamedecomp.games import Game, GameSpace, MixedProfile
 from gamedecomp.projectors import build_projectors
@@ -22,7 +21,6 @@ VALUES = [
     (GAME, "payoff_rows"),
     (decompose(GAME), "nonstrategic"),
     (POTENTIAL, "values"),
-    (nash_report(GAME), "pure_equilibria"),
     (build_projectors(SPACE), "potential"),
 ]
 IDS = [type(value).__name__ for value, _ in VALUES]
@@ -65,7 +63,7 @@ def test_equality_is_within_one_type():
     assert POTENTIAL != POTENTIAL.values
 
 
-def test_equality_and_hash_ignore_display_and_guard_fields():
+def test_equality_and_hash_ignore_the_display_name():
     renamed = Game(SPACE, GAME.payoff_rows, name="other")
     unnamed = Game(SPACE, GAME.payoff_rows)
     assert renamed == unnamed == GAME
