@@ -1,12 +1,18 @@
 """Command-line front end.
 
 Subcommands: decompose, classify, potential, project, nash, verify.
-Documents go to stdout as JSON (or CSV where output is a table);
-diagnostics go to stderr.  Output is exact "p/q" rationals unless
---decimal is given, in which case values are fixed-precision decimal
-strings and the document is labeled approximate.  Exit code 0 means
-the command reached a verdict; classification verdicts like "not
-potential" are data, not errors.
+Each is a function from its input, the game read from the file (for
+project, the --space), to its document's own fields.  main is the one
+path around them: it reads the game file, refuses with exit code 2 what
+it will not do (CSV where the output is no table, before the file is
+opened; dense matrices over MAX_DENSE_CELLS cells, before any build),
+adds the command, the space and the --decimal labels, writes stdout and
+picks the exit code.  Documents go to stdout as JSON, or as CSV where
+the output is a table; diagnostics go to stderr.  Output is exact "p/q"
+rationals unless --decimal is given, in which case values are
+fixed-precision decimal strings and the document is labeled
+approximate.  Exit code 0 means the command reached a verdict;
+classification verdicts like "not potential" are data, not errors.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from fractions import Fraction
 
 from gamedecomp import analysis
@@ -34,14 +40,13 @@ from gamedecomp.games import (
     GameFormatError,
     GameSpace,
     MalformedDocumentError,
-    _cut,
     game_document,
     parse_game,
 )
 from gamedecomp.linalg import (
     Matrix,
     ResultTooLongError,
-    _shown,
+    _cut,
     format_rational,
     is_range_projector,
     parse_rational,
@@ -66,6 +71,7 @@ MAX_DECIMAL_DIGITS = 1000
 # 0.2 s of CPU at 81 cells, 0.4 s at 192, 0.8-1.4 s at 324, 1.5-2.4 s at
 # 384 and 7.5-9.8 s (33 MB) at 512; project takes 0.9 s (72 MB) at 512
 # cells and its output runs to megabytes
+DENSE_COMMANDS = ("project", "verify")
 MAX_DENSE_CELLS = 512
 
 
@@ -77,7 +83,7 @@ def _parse_space(text: str) -> GameSpace:
         counts = tuple(int(c) for c in tail.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"space must look like 'n:k1,k2,...', got {_shown(text)}"
+            f"space must look like 'n:k1,k2,...', got {_cut(text, repr)}"
         ) from None
     if players != len(counts):
         raise argparse.ArgumentTypeError(
@@ -94,23 +100,6 @@ def _parse_rational(text: str) -> Fraction:
         return parse_rational(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _space_doc(space: GameSpace) -> dict:
-    return {"players": space.n, "strategies": list(space.strategy_counts)}
-
-
-def _emit_json(doc: dict, decimal: int | None) -> None:
-    if decimal is not None:
-        doc["approximate"] = True
-        doc["decimal_digits"] = decimal
-    sys.stdout.write(json.dumps(doc, indent=2) + "\n")
-
-
-def _emit_csv(lines: list[str], decimal: int | None) -> None:
-    if decimal is not None:
-        lines = [f"# approximate: {decimal} decimal digits", *lines]
-    sys.stdout.write("\n".join(lines) + "\n")
 
 
 def _load_game(args: argparse.Namespace) -> Game:
@@ -137,29 +126,6 @@ def _load_game(args: argparse.Namespace) -> Game:
     return game
 
 
-def _check_format(args: argparse.Namespace) -> int | None:
-    if args.format == "csv" and args.command not in TABLE_COMMANDS:
-        print(
-            f"error: csv output is not defined for {args.command}; use --format json",
-            file=sys.stderr,
-        )
-        return 2
-    return None
-
-
-def _check_dense(command: str, space: GameSpace) -> int | None:
-    """Refuse, before any build, a space too large for dense nk x nk matrices."""
-    cells = space.payoff_cells
-    if cells <= MAX_DENSE_CELLS:
-        return None
-    print(
-        f"error: {command} builds dense {cells}x{cells} matrices and accepts "
-        f"at most {MAX_DENSE_CELLS} payoff cells",
-        file=sys.stderr,
-    )
-    return 2
-
-
 # -- subcommands --------------------------------------------------------
 
 
@@ -179,12 +145,9 @@ def _routes_agree(projected: PotentialFunction | None, solved: PotentialFunction
     )
 
 
-def _cmd_decompose(args: argparse.Namespace) -> int:
-    game = _load_game(args)
+def _cmd_decompose(game: Game, args: argparse.Namespace) -> dict:
     parts = decompose(game)
-    doc = {
-        "command": "decompose",
-        "space": _space_doc(game.space),
+    return {
         "arithmetic": "exact-rational" if args.decimal is None else "decimal",
         "components": {
             "pure_potential": game_document(parts.pure_potential, args.decimal),
@@ -193,110 +156,68 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
         },
         "components_sum_to_input": parts.total() == game,
     }
-    _emit_json(doc, args.decimal)
-    return 0
 
 
-def _cmd_classify(args: argparse.Namespace) -> int:
-    game = _load_game(args)
+def _cmd_classify(game: Game, args: argparse.Namespace) -> dict:
     parts = decompose(game)
     memberships = {kind.value: parts.is_member(kind) for kind in SubspaceKind}
     checks = _definitional_checks(game)
-    agreement = {name: checks[name] == memberships[name] for name in checks}
-    doc = {
-        "command": "classify",
-        "space": _space_doc(game.space),
+    agreement = {name: held == memberships[name] for name, held in checks.items()}
+    return {
         "memberships": memberships,
         "definitional_checks": checks,
         "checks_agree_with_memberships": agreement,
     }
-    _emit_json(doc, args.decimal)
-    return 0
 
 
-def _cmd_potential(args: argparse.Namespace) -> int:
-    game = _load_game(args)
+def _cmd_potential(game: Game, args: argparse.Namespace) -> dict:
     projected = potential_function(game)
-    solved = solve_potential_equation(game)
-    doc: dict = {"command": "potential", "space": _space_doc(game.space)}
+    agree = _routes_agree(projected, solve_potential_equation(game))
     if projected is None:
-        if args.format == "csv":
-            _emit_csv(["potential,false"], args.decimal)
-            return 0
-        doc["potential"] = False
-        doc["routes_agree"] = _routes_agree(projected, solved)
-        if args.experimental_raw_vector:
+        doc = {"potential": False, "routes_agree": agree}
+        # the CSV table has no column for it
+        if args.experimental_raw_vector and args.format == "json":
             doc["experimental_raw_vector"] = [
                 format_rational(x, args.decimal) for x in raw_potential_vector(game)
             ]
             doc["experimental_raw_vector_semantics"] = "unspecified"
-        _emit_json(doc, args.decimal)
-        return 0
+        return doc
     values = projected.values if args.shift is None else projected.shifted(args.shift).values
-    if args.format == "csv":
-        rendered = [f"{i},{format_rational(x, args.decimal)}" for i, x in enumerate(values, 1)]
-        _emit_csv(["profile_index,value", *rendered], args.decimal)
-        return 0
-    doc["potential"] = True
-    doc["values"] = [format_rational(x, args.decimal) for x in values]
-    doc["shift"] = format_rational(args.shift or 0)
-    doc["routes_agree_up_to_constant"] = _routes_agree(projected, solved)
-    _emit_json(doc, args.decimal)
-    return 0
-
-
-def _cmd_project(args: argparse.Namespace) -> int:
-    refused = _check_dense("project", args.space)
-    if refused is not None:
-        return refused
-    bundle = build_projectors(args.space)
-    if bundle.total() != Matrix.identity(args.space.payoff_cells):
-        print("error: projection sum identity failed", file=sys.stderr)
-        return 1
-    kind = SubspaceKind(args.kind)
-    projection = bundle.projection(kind)
-    rows = [[format_rational(x, args.decimal) for x in row] for row in projection.rows_iter()]
-    if args.format == "csv":
-        _emit_csv([",".join(map(str, row)) for row in rows], args.decimal)
-        return 0
-    doc = {
-        "command": "project",
-        "space": _space_doc(args.space),
-        "kind": kind.value,
-        "dimension": subspace_dimension(args.space, kind),
-        "sum_identity_verified": True,
-        "rows": rows,
+    return {
+        "potential": True,
+        "values": [format_rational(x, args.decimal) for x in values],
+        "shift": format_rational(args.shift or 0),
+        "routes_agree_up_to_constant": agree,
     }
-    _emit_json(doc, args.decimal)
-    return 0
 
 
-def _cmd_nash(args: argparse.Namespace) -> int:
-    game = _load_game(args)
-    doc = {
-        "command": "nash",
-        "space": _space_doc(game.space),
+def _cmd_project(space: GameSpace, args: argparse.Namespace) -> dict:
+    bundle = build_projectors(space)
+    kind = SubspaceKind(args.kind)
+    return {
+        "kind": kind.value,
+        "dimension": subspace_dimension(space, kind),
+        "sum_identity_verified": bundle.total() == Matrix.identity(space.payoff_cells),
+        "rows": [
+            [format_rational(x, args.decimal) for x in row]
+            for row in bundle.projection(kind).rows_iter()
+        ],
+    }
+
+
+def _cmd_nash(game: Game, args: argparse.Namespace) -> dict:
+    return {
         "pure_equilibria": [list(s) for s in analysis.pure_nash(game)],
         "uniform_mixed_is_nash": analysis.uniform_mixed_nash_check(game),
     }
-    _emit_json(doc, args.decimal)
-    return 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    game = _load_game(args)
-    refused = _check_dense("verify", game.space)
-    if refused is not None:
-        return refused
+def _cmd_verify(game: Game, args: argparse.Namespace) -> dict:
     checks = _verification_checks(game)
-    doc = {
-        "command": "verify",
-        "space": _space_doc(game.space),
+    return {
         "checks": [{"name": name, "passed": passed} for name, passed in checks],
         "all_passed": all(passed for _, passed in checks),
     }
-    _emit_json(doc, args.decimal)
-    return 0 if doc["all_passed"] else 1
 
 
 def _verification_checks(game: Game) -> list[tuple[str, bool]]:
@@ -356,7 +277,16 @@ def _verification_checks(game: Game) -> list[tuple[str, bool]]:
     ]
 
 
-# -- parser --------------------------------------------------------------
+# -- the one path -------------------------------------------------------
+
+COMMANDS = (
+    ("decompose", "split a game into its three components", _cmd_decompose),
+    ("classify", "test the five subspace memberships", _cmd_classify),
+    ("potential", "extract a potential function if one exists", _cmd_potential),
+    ("project", "emit a projection matrix", _cmd_project),
+    ("nash", "pure and uniformly-mixed equilibrium report", _cmd_nash),
+    ("verify", "run every cross-oracle identity check", _cmd_verify),
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -365,11 +295,18 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact decomposition and analysis of finite normal-form games.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--format", choices=("json", "csv"), default="json", help="output format"
-        )
+    for name, helptext, handler in COMMANDS:
+        p = sub.add_parser(name, help=helptext)
+        if name == "project":
+            p.add_argument(
+                "--kind",
+                required=True,
+                choices=[kind.value for kind in SubspaceKind],
+                help="which canonical subspace",
+            )
+        else:
+            p.add_argument("file", help="game JSON file")
+        p.add_argument("--format", choices=("json", "csv"), default="json", help="output format")
         p.add_argument(
             "--decimal",
             type=int,
@@ -382,66 +319,71 @@ def _build_parser() -> argparse.ArgumentParser:
             metavar="n:k1,k2,...",
             help="game space (overrides the file's space where a file is given)",
         )
-
-    def add_game_command(
-        name: str, helptext: str, func: Callable[[argparse.Namespace], int]
-    ) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=helptext)
-        p.add_argument("file", help="game JSON file")
-        add_common(p)
-        p.set_defaults(func=func)
-        return p
-
-    add_game_command(
-        "decompose", "split a game into its three components", _cmd_decompose
-    )
-    add_game_command("classify", "test the five subspace memberships", _cmd_classify)
-    p_potential = add_game_command(
-        "potential", "extract a potential function if one exists", _cmd_potential
-    )
-    p_potential.add_argument(
-        "--shift",
-        type=_parse_rational,
-        metavar="p/q",
-        help="add a constant to the canonical potential",
-    )
-    p_potential.add_argument(
-        "--experimental-raw-vector",
-        action="store_true",
-        help="for non-potential games, also emit the raw closed-form vector "
-        "(semantics unspecified)",
-    )
-    p_project = sub.add_parser("project", help="emit a projection matrix")
-    p_project.add_argument(
-        "--kind",
-        required=True,
-        choices=[kind.value for kind in SubspaceKind],
-        help="which canonical subspace",
-    )
-    add_common(p_project)
-    p_project.set_defaults(func=_cmd_project)
-    add_game_command("nash", "pure and uniformly-mixed equilibrium report", _cmd_nash)
-    add_game_command("verify", "run every cross-oracle identity check", _cmd_verify)
+        if name == "potential":
+            p.add_argument(
+                "--shift",
+                type=_parse_rational,
+                metavar="p/q",
+                help="add a constant to the canonical potential",
+            )
+            p.add_argument(
+                "--experimental-raw-vector",
+                action="store_true",
+                help="for non-potential games, also emit the raw closed-form vector "
+                "(semantics unspecified)",
+            )
+        p.set_defaults(handler=handler)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "project" and args.space is None:
+    command, digits = args.command, args.decimal
+    if command == "project" and args.space is None:
         parser.error("project requires --space")
-    if args.decimal is not None and not 0 <= args.decimal <= MAX_DECIMAL_DIGITS:
-        parser.error(
-            f"--decimal needs a digit count from 0 to {MAX_DECIMAL_DIGITS}, got {args.decimal}"
-        )
-    bad_format = _check_format(args)
-    if bad_format is not None:
-        return bad_format
+    if digits is not None and not 0 <= digits <= MAX_DECIMAL_DIGITS:
+        parser.error(f"--decimal needs a digit count from 0 to {MAX_DECIMAL_DIGITS}, got {digits}")
+    if args.format == "csv" and command not in TABLE_COMMANDS:
+        print(f"error: csv output is not defined for {command}; use --format json", file=sys.stderr)
+        return 2
     # the errors a subcommand raises for its input: a game document it
     # cannot accept, a file it cannot read (or stdout it cannot write),
     # and a result too long to print; anything else is a fault here
     try:
-        return args.func(args)
+        game = None if command == "project" else _load_game(args)
+        space = args.space if game is None else game.space
+        cells = space.payoff_cells
+        if command in DENSE_COMMANDS and cells > MAX_DENSE_CELLS:
+            print(
+                f"error: {command} builds dense {cells}x{cells} matrices and accepts "
+                f"at most {MAX_DENSE_CELLS} payoff cells",
+                file=sys.stderr,
+            )
+            return 2
+        fields = args.handler(space if game is None else game, args)
+        if not fields.get("sum_identity_verified", True):
+            print("error: projection sum identity failed", file=sys.stderr)
+            return 1
+        if args.format == "csv":
+            if command == "project":
+                lines = [",".join(map(str, row)) for row in fields["rows"]]
+            elif fields["potential"]:
+                values = enumerate(fields["values"], 1)
+                lines = ["profile_index,value", *(f"{i},{x}" for i, x in values)]
+            else:
+                lines = ["potential,false"]
+            if digits is not None:
+                lines.insert(0, f"# approximate: {digits} decimal digits")
+            text = "\n".join(lines)
+        else:
+            space_doc = {"players": space.n, "strategies": list(space.strategy_counts)}
+            doc = {"command": command, "space": space_doc, **fields}
+            if digits is not None:
+                doc.update(approximate=True, decimal_digits=digits)
+            text = json.dumps(doc, indent=2)
+        sys.stdout.write(text + "\n")
+        return 0 if fields.get("all_passed", True) else 1
     except (GameFormatError, ResultTooLongError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -30,6 +30,7 @@ from gamedecomp.linalg import (
     Matrix,
     ResultTooLongError,
     _check_bits,
+    _cut,
     format_rational,
     parse_rational,
 )
@@ -78,11 +79,6 @@ def as_rational(value: object) -> Fraction:
         except ValueError as exc:
             raise GameFormatError(str(exc)) from None
     raise GameFormatError(f"unsupported payoff type {type(value).__name__}")
-
-
-def _cut(text: str) -> str:
-    """The text for an error message, cut to its first 40 characters."""
-    return text if len(text) <= 40 else f"{text[:40]}..."
 
 
 class _Value:

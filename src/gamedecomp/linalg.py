@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import re
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from fractions import Fraction
 from itertools import chain
 from operator import add, itemgetter, mul, sub
@@ -61,15 +61,15 @@ def parse_rational(text: str) -> Fraction:
     cleaned = text.replace("−", "-").strip()
     if not cleaned.isascii() or "_" in cleaned:
         raise ValueError(
-            f"cannot parse rational string {_shown(text)}: use ASCII digits, no underscores"
+            f"cannot parse rational string {_cut(text, repr)}: use ASCII digits, no underscores"
         )
     exponent = _EXPONENT.search(cleaned)
     try:
         if exponent is None or abs(int(exponent.group(1))) <= MAX_DECIMAL_EXPONENT:
             return Fraction(cleaned)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"cannot parse rational string {_shown(text)}: {exc}") from None
-    raise ValueError(f"decimal exponent of {_shown(text)} exceeds {MAX_DECIMAL_EXPONENT}")
+        raise ValueError(f"cannot parse rational string {_cut(text, repr)}: {exc}") from None
+    raise ValueError(f"decimal exponent of {_cut(text, repr)} exceeds {MAX_DECIMAL_EXPONENT}")
 
 
 def _check_bits(x: Scalar) -> Scalar:
@@ -97,9 +97,9 @@ def format_rational(x: Scalar, digits: int | None = None) -> int | str:
     return f"{text[:-digits]}.{text[-digits:]}" if digits else text
 
 
-def _shown(text: str) -> str:
-    """The text for an error message, quoted and cut to its first 40 characters."""
-    return repr(text) if len(text) <= 40 else f"{text[:40]!r}..."
+def _cut(text: str, show: Callable[[str], str] = str) -> str:
+    """The text for an error message, cut to its first 40 characters; show=repr quotes it."""
+    return show(text) if len(text) <= 40 else f"{show(text[:40])}..."
 
 
 def _entry(value: object) -> int | Fraction:

@@ -356,6 +356,152 @@ def test_decimal_output_is_labeled(tmp_path, capsys):
     assert doc["components"]["nonstrategic"]["payoffs"][0][0] == "-0.3125"
 
 
+# the prisoner's dilemma: a potential game with one pure equilibrium
+DILEMMA = Game(GameSpace((2, 2)), ((3, 0, 5, 1), (3, 5, 0, 1)))
+SPACE_22 = {"players": 2, "strategies": [2, 2]}
+POTENTIAL_PROJECTION_22 = [
+    "7/8,1/8,1/8,-1/8,1/8,-1/8,-1/8,1/8",
+    "1/8,7/8,-1/8,1/8,-1/8,1/8,1/8,-1/8",
+    "1/8,-1/8,7/8,1/8,-1/8,1/8,1/8,-1/8",
+    "-1/8,1/8,1/8,7/8,1/8,-1/8,-1/8,1/8",
+    "1/8,-1/8,-1/8,1/8,7/8,1/8,1/8,-1/8",
+    "-1/8,1/8,1/8,-1/8,1/8,7/8,-1/8,1/8",
+    "-1/8,1/8,1/8,-1/8,1/8,-1/8,7/8,1/8",
+    "1/8,-1/8,-1/8,1/8,-1/8,1/8,1/8,7/8",
+]
+VERIFY_CHECKS = (
+    "projections_symmetric",
+    "projections_idempotent",
+    "projection_sum_is_identity",
+    "projection_pairwise_products_zero",
+    "projection_traces_match_dimensions",
+    "pseudoinverse_oracles_match",
+    "decomposition_sums_to_input",
+    "components_lie_in_their_subspaces",
+    "definitional_checks_agree",
+    "potential_routes_agree",
+    "nonstrategic_direct_agrees",
+)
+
+
+def _document(command, **fields):
+    """A document's exact text: two-space JSON, keys in this order."""
+    return json.dumps({"command": command, "space": SPACE_22, **fields}, indent=2) + "\n"
+
+
+def _component(payoffs):
+    return {"players": 2, "strategies": [2, 2], "payoffs": payoffs}
+
+
+STDOUT_22 = [
+    (
+        ["decompose"],
+        _document(
+            "decompose",
+            arithmetic="exact-rational",
+            components={
+                "pure_potential": _component([[-1, "-1/2", 1, "1/2"], [-1, 1, "-1/2", "1/2"]]),
+                "nonstrategic": _component([[4, "1/2", 4, "1/2"], [4, 4, "1/2", "1/2"]]),
+                "pure_harmonic": _component([[0, 0, 0, 0], [0, 0, 0, 0]]),
+            },
+            components_sum_to_input=True,
+        ),
+    ),
+    (
+        ["classify"],
+        _document(
+            "classify",
+            memberships={
+                "pure-potential": False,
+                "nonstrategic": False,
+                "pure-harmonic": False,
+                "potential": True,
+                "harmonic": False,
+            },
+            definitional_checks={"nonstrategic": False, "pure-harmonic": False, "harmonic": False},
+            checks_agree_with_memberships={
+                "nonstrategic": True,
+                "pure-harmonic": True,
+                "harmonic": True,
+            },
+        ),
+    ),
+    (
+        ["potential"],
+        _document(
+            "potential",
+            potential=True,
+            values=["-7/4", "1/4", "1/4", "5/4"],
+            shift=0,
+            routes_agree_up_to_constant=True,
+        ),
+    ),
+    (["potential", "--format", "csv"], "profile_index,value\n1,-7/4\n2,1/4\n3,1/4\n4,5/4\n"),
+    (
+        ["potential", "--decimal", "2"],
+        """{
+  "command": "potential",
+  "space": {
+    "players": 2,
+    "strategies": [
+      2,
+      2
+    ]
+  },
+  "potential": true,
+  "values": [
+    "-1.75",
+    "0.25",
+    "0.25",
+    "1.25"
+  ],
+  "shift": 0,
+  "routes_agree_up_to_constant": true,
+  "approximate": true,
+  "decimal_digits": 2
+}
+""",
+    ),
+    (
+        ["potential", "--shift=-1/2"],
+        _document(
+            "potential",
+            potential=True,
+            values=["-9/4", "-1/4", "-1/4", "3/4"],
+            shift="-1/2",
+            routes_agree_up_to_constant=True,
+        ),
+    ),
+    (["nash"], _document("nash", pure_equilibria=[[2, 2]], uniform_mixed_is_nash=False)),
+    (
+        ["verify"],
+        _document(
+            "verify",
+            checks=[{"name": name, "passed": True} for name in VERIFY_CHECKS],
+            all_passed=True,
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, expected", STDOUT_22, ids=[" ".join(a) for a, _ in STDOUT_22])
+def test_game_commands_write_these_bytes(tmp_path, capsys, argv, expected):
+    command, *flags = argv
+    path = write_game(tmp_path, DILEMMA)
+    assert run_cli(capsys, command, path, *flags) == (0, expected, "")
+
+
+def test_project_writes_these_bytes(capsys):
+    argv = ["project", "--space", "2:2,2", "--kind", "potential"]
+    rows = [row.split(",") for row in POTENTIAL_PROJECTION_22]
+    expected = _document(
+        "project", kind="potential", dimension=7, sum_identity_verified=True, rows=rows
+    )
+    assert run_cli(capsys, *argv) == (0, expected, "")
+    csv = "\n".join(POTENTIAL_PROJECTION_22) + "\n"
+    assert run_cli(capsys, *argv, "--format", "csv") == (0, csv, "")
+
+
 def test_malformed_file_fails_cleanly(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json", encoding="utf-8")
@@ -382,6 +528,14 @@ def test_csv_rejected_where_not_tabular(tmp_path, capsys):
     code, _, err = run_cli(capsys, "classify", path, "--format", "csv")
     assert code == 2
     assert "csv" in err
+
+
+@pytest.mark.parametrize("command", ["decompose", "classify", "nash", "verify"])
+def test_csv_is_refused_before_the_file_is_opened(tmp_path, capsys, command):
+    absent = str(tmp_path / "absent.json")
+    code, out, err = run_cli(capsys, command, absent, "--format", "csv")
+    assert (code, out) == (2, "")
+    assert err == f"error: csv output is not defined for {command}; use --format json\n"
 
 
 def test_single_strategy_player_warns(tmp_path, capsys):
