@@ -56,7 +56,6 @@ from gamedecomp.projectors import (
     SubspaceKind,
     build_B_N,
     build_B_P,
-    build_P_N,
     build_projectors,
     part_matrices,
     subspace_dimension,
@@ -67,10 +66,10 @@ TABLE_COMMANDS = ("project", "potential")
 # print an integer of more than 4300 digits
 MAX_DECIMAL_DIGITS = 1000
 # project and verify build dense nk x nk matrices.  verify certifies the
-# bundle against its generators by products and ranks; one child takes
-# 0.2 s of CPU at 81 cells, 0.4 s at 192, 0.8-1.4 s at 324, 1.5-2.4 s at
-# 384 and 7.5-9.8 s (33 MB) at 512; project takes 0.9 s (72 MB) at 512
-# cells and its output runs to megabytes
+# potential and nonstrategic projections against B_P and B_N (P_N's follows
+# with the sum identity); one child takes 0.2 s of CPU at 81 cells, 0.4 s at
+# 192, 1.1-1.3 s at 324, 2.1-2.5 s at 384 and 2.2-2.7 s (31 MB) at 512;
+# project takes 0.9 s (72 MB) at 512 cells and its output runs to megabytes
 DENSE_COMMANDS = ("project", "verify")
 MAX_DENSE_CELLS = 512
 
@@ -175,8 +174,7 @@ def _cmd_potential(game: Game, args: argparse.Namespace) -> dict:
     agree = _routes_agree(projected, solve_potential_equation(game))
     if projected is None:
         doc = {"potential": False, "routes_agree": agree}
-        # the CSV table has no column for it
-        if args.experimental_raw_vector and args.format == "json":
+        if args.experimental_raw_vector:
             doc["experimental_raw_vector"] = [
                 format_rational(x, args.decimal) for x in raw_potential_vector(game)
             ]
@@ -224,7 +222,7 @@ def _verification_checks(game: Game) -> list[tuple[str, bool]]:
     """Every cross-oracle identity the library can test on one game."""
     space = game.space
     bundle = build_projectors(space)
-    identity = Matrix.identity(space.payoff_cells)
+    sums_to_identity = bundle.total() == Matrix.identity(space.payoff_cells)
     # potential and harmonic sum parts, so they are symmetric, idempotent and of
     # the right trace when the parts are and the parts' products are zero;
     # idempotency and the products hold iff they hold on every ANOVA part
@@ -239,7 +237,7 @@ def _verification_checks(game: Game) -> list[tuple[str, bool]]:
             all(bundle.projection(kind).is_symmetric() for kind in PART_KINDS),
         ),
         ("projections_idempotent", all(m @ m == m for ms in split for m in ms)),
-        ("projection_sum_is_identity", bundle.total() == identity),
+        ("projection_sum_is_identity", sums_to_identity),
         (
             "projection_pairwise_products_zero",
             all(
@@ -253,14 +251,14 @@ def _verification_checks(game: Game) -> list[tuple[str, bool]]:
                 for kind in PART_KINDS
             ),
         ),
-        # B B^+ is certified, not recomputed; the name stays so stdout does not change
+        # B B^+ is certified, not recomputed; the name stays so stdout does not change.
+        # range(B_N) lies in range(B_P), so potential - nonstrategic projects onto range(P_N);
+        # with the sum identity, pure harmonic = I - potential and harmonic = I - pure potential
         (
             "pseudoinverse_oracles_match",
             is_range_projector(bundle.potential, build_B_P(space))
             and is_range_projector(bundle.nonstrategic, build_B_N(space))
-            and is_range_projector(bundle.pure_potential, build_P_N(space))
-            and bundle.harmonic == identity - bundle.pure_potential
-            and bundle.pure_harmonic == identity - bundle.potential,
+            and sums_to_identity,
         ),
         ("decomposition_sums_to_input", parts_g.total() == game),
         # the dense projections cross-check the matrix-free parts
@@ -346,6 +344,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         parser.error(f"--decimal needs a digit count from 0 to {MAX_DECIMAL_DIGITS}, got {digits}")
     if args.format == "csv" and command not in TABLE_COMMANDS:
         print(f"error: csv output is not defined for {command}; use --format json", file=sys.stderr)
+        return 2
+    if args.format == "csv" and getattr(args, "experimental_raw_vector", False):
+        # the CSV table has no column for it
+        print("error: --experimental-raw-vector needs --format json", file=sys.stderr)
         return 2
     # the errors a subcommand raises for its input: a game document it
     # cannot accept, a file it cannot read (or stdout it cannot write),

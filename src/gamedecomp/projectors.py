@@ -21,9 +21,11 @@ entries with int 2x2 steps and writes each row with one gather.  The
 dense ProjectorSet holds only those three and, like Decomposition, sums
 them through PARTS into potential and harmonic (_Parts).  It serves
 `project` and the oracles; so do the Kronecker-built E_i and e_i, and
-B_N, B_P and P_N, the generators `verify` certifies the nonstrategic,
-potential and pure potential projections against.  part_matrices() gives
-a projection per V_T, n x n, for `verify`'s idempotency and product checks.
+B_N and B_P, the generators `verify` certifies the nonstrategic and
+potential projections against.  P_N stays for the oracles and tests:
+its certificate follows from those two and the sum identity.
+part_matrices() gives a projection per V_T, n x n, for `verify`'s
+idempotency and product checks.
 The last section keeps the M_S basis, sum_S c_S M_S with M_S =
 prod_{i in S} M_i, only for the two oracle routes to X of acceptance
 criterion 2, which write the dense X.  Nothing is cached.

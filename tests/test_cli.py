@@ -14,7 +14,7 @@ from gamedecomp import cli, linalg
 from gamedecomp.cli import MAX_DENSE_CELLS, main
 from gamedecomp.games import Game, GameSpace, serialize_game
 from gamedecomp.linalg import Matrix
-from gamedecomp.projectors import ProjectorSet
+from gamedecomp.projectors import ProjectorSet, build_B_N, build_B_P
 
 
 def write_game(tmp_path, game, name="game.json"):
@@ -117,6 +117,17 @@ def test_potential_experimental_raw_vector(tmp_path, capsys):
     doc = json.loads(out)
     assert len(doc["experimental_raw_vector"]) == 9
     assert doc["experimental_raw_vector_semantics"] == "unspecified"
+
+
+@pytest.mark.parametrize("exists", [True, False])
+def test_raw_vector_in_csv_is_refused_before_the_file_is_opened(tmp_path, capsys, exists):
+    # the CSV table has no column for the raw vector
+    path = write_game(tmp_path, rps_game()) if exists else str(tmp_path / "absent.json")
+    code, out, err = run_cli(
+        capsys, "potential", path, "--experimental-raw-vector", "--format", "csv"
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: --experimental-raw-vector needs --format json\n"
 
 
 def test_potential_csv(tmp_path, capsys):
@@ -322,6 +333,27 @@ def test_verify_solves_no_system_and_forms_no_inverse(tmp_path, capsys, monkeypa
     code, out, _ = run_cli(capsys, "verify", write_game(tmp_path, game))
     assert code == 0
     assert json.loads(out)["all_passed"] is True
+
+
+def test_verify_certifies_only_the_potential_and_nonstrategic_projections(
+    tmp_path, capsys, monkeypatch
+):
+    # pure potential's certificate against P_N follows from these two and the
+    # sum identity, so verify does not build or rank P_N
+    real = cli.is_range_projector
+    generators = []
+
+    def recording(p, b):
+        generators.append(b)
+        return real(p, b)
+
+    monkeypatch.setattr(cli, "is_range_projector", recording)
+    space = GameSpace((2, 3, 2))
+    game = random_game(random.Random(463), space)
+    code, _, _ = run_cli(capsys, "verify", write_game(tmp_path, game))
+    assert code == 0
+    assert len(generators) == 2
+    assert build_B_P(space) in generators and build_B_N(space) in generators
 
 
 def test_verify_does_not_pair_kinds_and_parts_by_enum_order(monkeypatch):

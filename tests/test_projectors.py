@@ -5,6 +5,7 @@ from itertools import chain, combinations, permutations
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from _helpers import PROPERTY, spaces
 from gamedecomp import projectors
@@ -267,6 +268,62 @@ def test_is_range_projector_certifies_the_bundle_against_its_generators(space):
         for other in true.values():
             assert is_range_projector(other, generator) == (other == projector)
         assert not is_range_projector(projector + bump, generator)
+
+
+def _five_clauses(bundle):
+    """The oracle check in full: three certificates and both complements."""
+    space, identity = bundle.space, Matrix.identity(bundle.space.payoff_cells)
+    return (
+        is_range_projector(bundle.potential, build_B_P(space))
+        and is_range_projector(bundle.nonstrategic, build_B_N(space))
+        and is_range_projector(bundle.pure_potential, build_P_N(space))
+        and bundle.harmonic == identity - bundle.pure_potential
+        and bundle.pure_harmonic == identity - bundle.potential
+    )
+
+
+def _three_clauses(bundle):
+    """The oracle check as verify makes it: two certificates and the sum identity."""
+    space = bundle.space
+    return (
+        is_range_projector(bundle.potential, build_B_P(space))
+        and is_range_projector(bundle.nonstrategic, build_B_N(space))
+        and bundle.total() == Matrix.identity(space.payoff_cells)
+    )
+
+
+@st.composite
+def perturbed_bundles(draw, bundle):
+    """The bundle with one part bumped by +-1/q at an entry (and at its
+    mirror, if symmetric), that bump moved between two parts, or two parts
+    swapped."""
+    nk = bundle.space.payoff_cells
+    fields = {kind.name.lower(): bundle.projection(kind) for kind in PART_KINDS}
+    a, b = draw(st.permutations(list(fields)))[:2]
+    how = draw(st.sampled_from(("bump", "move", "swap")))
+    if how == "swap":
+        fields[a], fields[b] = fields[b], fields[a]
+    else:
+        i, j = draw(st.integers(0, nk - 1)), draw(st.integers(0, nk - 1))
+        x = Fraction(draw(st.sampled_from((1, -1))), draw(st.integers(1, 9)))
+        cells = {(i, j), (j, i)} if draw(st.booleans()) else {(i, j)}
+        delta = Matrix([[x if (r, c) in cells else 0 for c in range(nk)] for r in range(nk)])
+        fields[a] = fields[a] + delta
+        if how == "move":
+            fields[b] = fields[b] - delta
+    return ProjectorSet(bundle.space, **fields)
+
+
+@PROPERTY
+@given(spaces(max_cells=60), st.data())
+def test_two_certificates_and_the_sum_identity_decide_the_oracle_check(space, data):
+    # range(B_N) lies in range(B_P), so once potential and nonstrategic are
+    # certified, pure potential = their difference projects onto range(P_N);
+    # the sum identity then gives both complements
+    bundle = build_projectors(space)
+    assert _three_clauses(bundle) and _five_clauses(bundle)
+    for other in data.draw(st.lists(perturbed_bundles(bundle), min_size=1, max_size=4)):
+        assert _three_clauses(other) == _five_clauses(other)
 
 
 def _verdicts(space):
