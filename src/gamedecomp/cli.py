@@ -25,6 +25,7 @@ from fractions import Fraction
 
 from gamedecomp import analysis
 from gamedecomp.decompose import (
+    Decomposition,
     PotentialFunction,
     _potential,
     _split,
@@ -46,6 +47,7 @@ from gamedecomp.games import (
 from gamedecomp.linalg import (
     Matrix,
     ResultTooLongError,
+    _check_bits,
     _cut,
     format_rational,
     is_range_projector,
@@ -95,8 +97,9 @@ def _parse_space(text: str) -> GameSpace:
 
 
 def _parse_rational(text: str) -> Fraction:
+    """A rational flag, held to the bound parse_game puts on every payoff."""
     try:
-        return parse_rational(text)
+        return _check_bits(parse_rational(text))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -128,12 +131,19 @@ def _load_game(args: argparse.Namespace) -> Game:
 # -- subcommands --------------------------------------------------------
 
 
-def _definitional_checks(game: Game) -> dict[str, bool]:
-    """The subspace tests read off the definitions, keyed by subspace kind value."""
-    return {
+def _classification(game: Game, parts: Decomposition) -> dict[str, dict[str, bool]]:
+    """Memberships and the definitional tests, keyed by subspace kind value, and their agreement."""
+    memberships = {kind.value: parts.is_member(kind) for kind in SubspaceKind}
+    checks = {
         "nonstrategic": analysis.check_nonstrategic_defn(game),
         "pure-harmonic": analysis.check_pure_harmonic_defn(game),
         "harmonic": analysis.check_harmonic_defn(game),
+    }
+    agreement = {name: held == memberships[name] for name, held in checks.items()}
+    return {
+        "memberships": memberships,
+        "definitional_checks": checks,
+        "checks_agree_with_memberships": agreement,
     }
 
 
@@ -158,15 +168,7 @@ def _cmd_decompose(game: Game, args: argparse.Namespace) -> dict:
 
 
 def _cmd_classify(game: Game, args: argparse.Namespace) -> dict:
-    parts = decompose(game)
-    memberships = {kind.value: parts.is_member(kind) for kind in SubspaceKind}
-    checks = _definitional_checks(game)
-    agreement = {name: held == memberships[name] for name, held in checks.items()}
-    return {
-        "memberships": memberships,
-        "definitional_checks": checks,
-        "checks_agree_with_memberships": agreement,
-    }
+    return _classification(game, decompose(game))
 
 
 def _cmd_potential(game: Game, args: argparse.Namespace) -> dict:
@@ -178,7 +180,9 @@ def _cmd_potential(game: Game, args: argparse.Namespace) -> dict:
             doc["experimental_raw_vector"] = [
                 format_rational(x, args.decimal) for x in raw_potential_vector(game)
             ]
-            doc["experimental_raw_vector_semantics"] = "unspecified"
+            doc["experimental_raw_vector_semantics"] = (
+                "canonical potential of the potential component"
+            )
         return doc
     values = projected.values if args.shift is None else projected.shifted(args.shift).values
     return {
@@ -229,7 +233,7 @@ def _verification_checks(game: Game) -> list[tuple[str, bool]]:
     split = [part_matrices(space, kind) for kind in PART_KINDS]
     parts_g, phi = _split(game)
     part_vectors = {kind: parts_g.projection(kind).structure_vector() for kind in PART_KINDS}
-    memberships = {kind.value: parts_g.is_member(kind) for kind in SubspaceKind}
+    agreement = _classification(game, parts_g)["checks_agree_with_memberships"]
     solved = solve_potential_equation(game)
     return [
         (
@@ -266,10 +270,7 @@ def _verification_checks(game: Game) -> list[tuple[str, bool]]:
             "components_lie_in_their_subspaces",
             all(bundle.projection(kind) @ v == v for kind, v in part_vectors.items()),
         ),
-        (
-            "definitional_checks_agree",
-            all(held == memberships[name] for name, held in _definitional_checks(game).items()),
-        ),
+        ("definitional_checks_agree", all(agreement.values())),
         ("potential_routes_agree", _routes_agree(_potential(game, parts_g, phi), solved)),
         ("nonstrategic_direct_agrees", nonstrategic_component_direct(game) == parts_g.nonstrategic),
     ]
@@ -327,8 +328,8 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--experimental-raw-vector",
                 action="store_true",
-                help="for non-potential games, also emit the raw closed-form vector "
-                "(semantics unspecified)",
+                help="for non-potential games, also emit the canonical potential of the "
+                "game's potential component (its projection onto the potential games)",
             )
         p.set_defaults(handler=handler)
     return parser

@@ -2,9 +2,11 @@
 
 Everything here works on payoff rows in the algebra of the averaging
 operators M_i (see projectors.py); no projection matrix is built or
-applied.  With u_i player i's payoff row: nonstrategic_i = M_i u_i, the
-canonical potential phi = X sum_i (u_i - M_i u_i), pure_potential_i =
-phi - M_i phi, and pure_harmonic = u - pure_potential - nonstrategic.
+applied.  With u_i player i's payoff row: nonstrategic_i = M_i u_i,
+phi = X sum_i (u_i - M_i u_i), pure_potential_i = phi - M_i phi, and
+pure_harmonic = u - pure_potential - nonstrategic.  For every game, phi
+is the canonical potential of its potential component, pure_potential +
+nonstrategic (raw_potential_vector says why).
 X is applied by ANOVA grade (apply_group_inverse), one average per
 effective player and grade; the M_S basis serves only the oracles.
 Potential functions are extracted two independent ways: phi with its
@@ -82,28 +84,18 @@ def differs_by_constant(a: Sequence[Fraction], b: Sequence[Fraction]) -> bool:
     return all(x - y == delta for x, y in zip(a, b))
 
 
-def _nonstrategic_rows(game: Game) -> list[list[Fraction]]:
-    """M_i u_i for every player i."""
-    return [average(game.space, row, i) for i, row in enumerate(game.payoff_rows, start=1)]
-
-
-def _potential_vector(game: Game, nonstrategic: list[list[Fraction]]) -> list[Fraction]:
-    """phi = X sum_i (u_i - M_i u_i), given the M_i u_i."""
-    lifted = [sum(u) - sum(m) for u, m in zip(zip(*game.payoff_rows), zip(*nonstrategic))]
-    return apply_group_inverse(game.space, lifted)
-
-
 def _split(game: Game) -> tuple[Decomposition, list[Fraction]]:
-    """The game's decomposition, and the vector phi its pure potential part comes from."""
-    space = game.space
-    nonstrategic = _nonstrategic_rows(game)
-    phi = _potential_vector(game, nonstrategic)
+    """The game's decomposition, and the canonical potential phi of its potential component."""
+    space, rows = game.space, game.payoff_rows
+    nonstrategic = [average(space, row, i) for i, row in enumerate(rows, start=1)]
+    phi = apply_group_inverse(
+        space, [sum(u) - sum(m) for u, m in zip(zip(*rows), zip(*nonstrategic))]
+    )
     pure_potential = [
         [p - m for p, m in zip(phi, average(space, phi, i))] for i in range(1, space.n + 1)
     ]
     pure_harmonic = [
-        [u - p - s for u, p, s in zip(*rows)]
-        for rows in zip(game.payoff_rows, pure_potential, nonstrategic)
+        [u - p - s for u, p, s in zip(*parts)] for parts in zip(rows, pure_potential, nonstrategic)
     ]
     return Decomposition(
         pure_potential=Game(space, pure_potential),
@@ -123,13 +115,18 @@ def is_member(game: Game, kind: SubspaceKind) -> bool:
 
 
 def raw_potential_vector(game: Game) -> tuple[Fraction, ...]:
-    """The closed-form potential X sum_i (u_i - M_i u_i), for any game.
+    """The canonical potential of the game's potential component, for any game.
 
-    For potential games this is the canonical potential's value vector.
-    For anything else its meaning is an open question; it is exposed for
-    experimentation only.
+    This is phi = X sum_i (u_i - M_i u_i), from which _split builds the
+    pure potential part p_i = phi - M_i phi beside the nonstrategic part
+    n_i = M_i u_i.  Their sum, the potential component u' (the game's
+    projection onto the potential subspace, the closest potential game:
+    Candogan, Menache, Ozdaglar & Parrilo 2011), has u'_i - M_i u'_i =
+    p_i; and X sum_i (phi - M_i phi) = phi, since phi has no constant
+    part.  So phi is potential_function(u').values, and for a potential
+    game, its own canonical potential.
     """
-    return tuple(_potential_vector(game, _nonstrategic_rows(game)))
+    return tuple(_split(game)[1])
 
 
 def potential_function(game: Game) -> PotentialFunction | None:

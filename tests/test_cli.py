@@ -116,7 +116,9 @@ def test_potential_experimental_raw_vector(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert len(doc["experimental_raw_vector"]) == 9
-    assert doc["experimental_raw_vector_semantics"] == "unspecified"
+    assert doc["experimental_raw_vector_semantics"] == (
+        "canonical potential of the potential component"
+    )
 
 
 @pytest.mark.parametrize("exists", [True, False])
@@ -243,6 +245,20 @@ def test_huge_exponent_rejected_in_payoffs_and_shift(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "potential", game_path, "--shift=-1.125e0")
     assert code == 0
     assert json.loads(out)["shift"] == "-9/8"
+
+
+@pytest.mark.parametrize("game", [symmetric_222(1, 1, 2, -1, 1, -1), rps_game()])
+def test_shift_too_long_to_print_is_refused_before_the_file_is_opened(tmp_path, capsys, game):
+    # 10**4300 has one bit more than any payoff parse_game accepts
+    for path in (write_game(tmp_path, game), str(tmp_path / "absent.json")):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["potential", path, "--shift", "1e4300"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(
+            "argument --shift: a number of more than 14284 bits is too long to print\n"
+        )
 
 
 def test_non_ascii_digits_and_underscores_rejected_in_payoffs_and_shift(tmp_path, capsys):

@@ -279,7 +279,7 @@ def test_raw_vector_matches_potential_on_potential_games():
     space = GameSpace((2, 2))
     game = potential_game(rng, space)
     assert raw_potential_vector(game) == potential_function(game).values
-    # defined (if unexplained) for any game
+    # for any game, the canonical potential of its potential component
     assert len(raw_potential_vector(rps_game())) == 9
 
 
@@ -393,7 +393,13 @@ def test_raw_potential_vector_equals_dense_route(game):
 
 @PROPERTY
 @given(games(max_cells=100))
+@example(padded_game(0))
+@example(padded_game(1))
+@example(padded_game(2))
+@example(FIVE_PLAYERS)
 def test_potential_offsets_equal_lift_route(game):
+    # the raw vector of any game is the canonical potential of its
+    # potential projection, here built by the dense projector
     space = game.space
     potential = Game.from_vector(
         space, build_projectors(space).potential @ game.structure_vector()
@@ -401,6 +407,7 @@ def test_potential_offsets_equal_lift_route(game):
     result = potential_function(potential)
     assert result is not None
     assert result.values == raw_potential_vector(potential)
+    assert result.values == raw_potential_vector(game)
     phi = Matrix.column(result.values)
     for i, count in enumerate(space.strategy_counts, start=1):
         u_i = Matrix.column(potential.payoff_rows[i - 1])
