@@ -45,19 +45,15 @@ from gamedecomp.games import (
     parse_game,
 )
 from gamedecomp.linalg import (
-    Matrix,
     ResultTooLongError,
     _check_bits,
     _cut,
     format_rational,
-    is_range_projector,
     parse_rational,
 )
 from gamedecomp.projectors import (
     PART_KINDS,
     SubspaceKind,
-    build_B_N,
-    build_B_P,
     build_projectors,
     part_matrices,
     subspace_dimension,
@@ -194,6 +190,8 @@ def _cmd_potential(game: Game, args: argparse.Namespace) -> dict:
 
 
 def _cmd_project(space: GameSpace, args: argparse.Namespace) -> dict:
+    from gamedecomp.matrix import Matrix
+
     bundle = build_projectors(space)
     kind = SubspaceKind(args.kind)
     return {
@@ -224,6 +222,10 @@ def _cmd_verify(game: Game, args: argparse.Namespace) -> dict:
 
 def _verification_checks(game: Game) -> list[tuple[str, bool]]:
     """Every cross-oracle identity the library can test on one game."""
+    # imported here, so that the commands that build no matrix do not compile them
+    from gamedecomp.dense import build_B_N, build_B_P, is_range_projector
+    from gamedecomp.matrix import Matrix
+
     space = game.space
     bundle = build_projectors(space)
     sums_to_identity = bundle.total() == Matrix.identity(space.payoff_cells)

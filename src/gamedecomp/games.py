@@ -8,8 +8,8 @@ which is the ordering induced by stacking semitensor products of
 standard basis columns.  The analyses and the averaging operators
 learn that layout only from GameSpace.lines and GameSpace.line, since
 every definition past the projections runs along a player's
-own-strategy lines.  The Kronecker-built structural matrices, the
-dense bit masks in projectors.py and
+own-strategy lines.  The Kronecker-built structural matrices in
+dense.py, the bit masks of the dense bundle writer in projectors.py and
 decompose.nonstrategic_component_direct index profiles on their own,
 so they stay independent oracles for it.
 
@@ -27,7 +27,6 @@ from fractions import Fraction
 from itertools import accumulate, product
 
 from gamedecomp.linalg import (
-    Matrix,
     ResultTooLongError,
     _check_bits,
     _cut,
@@ -308,7 +307,7 @@ class Game(_Value):
     def from_vector(cls, space: GameSpace, vector: Matrix | Sequence[object]) -> "Game":
         """Build a game from the stacked payoff column (rows concatenated)."""
         entries: Sequence[object]
-        if isinstance(vector, Matrix):
+        if hasattr(vector, "ncols"):  # a Matrix, tested without importing its module
             if vector.ncols != 1:
                 raise ValueError("expected a column vector")
             entries = vector.column_tuple(0)
@@ -326,6 +325,8 @@ class Game(_Value):
 
     def structure_vector(self) -> Matrix:
         """The stacked payoff column: rows concatenated player by player."""
+        from gamedecomp.matrix import Matrix
+
         return Matrix.column([x for row in self.payoff_rows for x in row])
 
     def payoff(self, player: int, profile: Sequence[int]) -> Fraction:

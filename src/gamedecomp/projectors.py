@@ -20,28 +20,25 @@ held as ints over lcm(1..n_eff): _densify_blocks() turns them into
 entries with int 2x2 steps and writes each row with one gather.  The
 dense ProjectorSet holds only those three and, like Decomposition, sums
 them through PARTS into potential and harmonic (_Parts).  It serves
-`project` and the oracles; so do the Kronecker-built E_i and e_i, and
-B_N and B_P, the generators `verify` certifies the nonstrategic and
-potential projections against.  P_N stays for the oracles and tests:
-its certificate follows from those two and the sum identity.
-part_matrices() gives a projection per V_T, n x n, for `verify`'s
-idempotency and product checks.
-The last section keeps the M_S basis, sum_S c_S M_S with M_S =
-prod_{i in S} M_i, only for the two oracle routes to X of acceptance
-criterion 2, which write the dense X.  Nothing is cached.
+`project`, `verify` and the oracles.  part_matrices() gives a projection
+per V_T, n x n, for `verify`'s idempotency and product checks.  The
+bundle writer builds the first Matrix of a call, so gamedecomp.matrix is
+imported there, on first use.  The Kronecker-built E_i, e_i, B_N, B_P
+and P_N and the M_S basis routes to X live in gamedecomp.dense; the
+module __getattr__ at the end still serves them from here.  Nothing is
+cached.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Hashable, Iterable, Sequence
+from collections.abc import Callable, Hashable, Sequence
 from enum import Enum
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import chain
 from operator import itemgetter
 
 from gamedecomp.games import GameSpace, _Value
-from gamedecomp.linalg import Matrix, block_diag, hstack, kron, solve_linear, vstack
 
 
 class SubspaceKind(Enum):
@@ -79,57 +76,6 @@ class _Parts(_Value):
     def total(self):
         """The sum of the three parts."""
         return self._sum(PART_KINDS)
-
-
-def build_E(space: GameSpace, player: int) -> Matrix:
-    """Lift matrix E_i: identity on other players, all-ones column on i.
-
-    E_i.T averages nothing; it sums player i's strategy axis.  Shape is
-    k x (k/k_i), and E_i.T @ E_i = k_i * I.
-    """
-    space.check_player(player)
-    before = Matrix.identity(space.k_between(1, player - 1))
-    ones = Matrix.ones(space.strategy_counts[player - 1], 1)
-    after = Matrix.identity(space.k_between(player + 1, space.n))
-    return kron(kron(before, ones), after)
-
-
-def build_e(space: GameSpace, player: int) -> Matrix:
-    """Averaging block e_i = E_i @ E_i.T (k x k, symmetric, e_i^2 = k_i e_i)."""
-    return build_e_set(space, (player,))
-
-
-def build_e_set(space: GameSpace, players: Iterable[int]) -> Matrix:
-    """Product of the commuting e_i over a subset of players.
-
-    Computed in one pass as a Kronecker product with an all-ones block
-    on each listed player's axis and identity elsewhere.  The empty
-    subset gives I_k, the full subset the all-ones k x k matrix.
-    """
-    chosen = {space.check_player(player) for player in players}
-    out = Matrix.identity(1)
-    for i, count in enumerate(space.strategy_counts, start=1):
-        factor = Matrix.ones(count, count) if i in chosen else Matrix.identity(count)
-        out = kron(out, factor)
-    return out
-
-
-def build_B_N(space: GameSpace) -> Matrix:
-    """Block diagonal of the E_i; its column space is the nonstrategic part."""
-    return block_diag([build_E(space, i) for i in range(1, space.n + 1)])
-
-
-def build_B_P(space: GameSpace) -> Matrix:
-    """[stacked identities | block diag E_i]; spans the potential subspace."""
-    stacked = vstack([Matrix.identity(space.k)] * space.n)
-    return hstack([stacked, build_B_N(space)])
-
-
-def build_P_N(space: GameSpace) -> Matrix:
-    """Stacked normalization blocks I_k - e_i/k_i; spans the pure potential part."""
-    identity = Matrix.identity(space.k)
-    counts = enumerate(space.strategy_counts, start=1)
-    return vstack([identity - build_e(space, i) * Fraction(1, c) for i, c in counts])
 
 
 # -- the algebra applied to payoff rows ------------------------------------
@@ -215,7 +161,7 @@ def _row_gathers(counts: Sequence[int], width: int) -> list[Callable]:
         masks = [[m | (x != y) << b for m in row for y in axis] for row in masks for x in axis]
     if width * len(masks) == 1:
         # one index gives a bare value, not a 1-tuple
-        return [lambda values: values[:1]]
+        return [lambda values: (values[0],)]
     size = 1 << len(counts)
     return [itemgetter(*[j * size + m for j in range(width) for m in row]) for row in masks]
 
@@ -233,6 +179,8 @@ def _densify_blocks(
     prod(counts), and all of them are reduced by one gcd; entries that
     share a table and a mask share one int.
     """
+    from gamedecomp.matrix import Matrix
+
     entries = {key: _entry_values(counts, table) for key, table in tables.items()}
     den *= math.prod(counts)
     g = math.gcd(den, *chain.from_iterable(entries.values()))
@@ -243,7 +191,8 @@ def _densify_blocks(
     for block_row in layout:
         values = list(chain.from_iterable(entries[key] for key in block_row))
         rows += [gather(values) for gather in gathers]
-    return Matrix.from_numerators(rows, den)
+    # den and the entries share no factor now, so the rows are canonical
+    return Matrix._canonical(tuple(rows), den)
 
 
 class ProjectorSet(_Parts):
@@ -307,6 +256,8 @@ def part_matrices(space: GameSpace, kind: SubspaceKind) -> list[Matrix]:
     P_T != 0, so it is idempotent, or its product with another is zero,
     iff every part is.
     """
+    from gamedecomp.matrix import Matrix
+
     tables, den, layout = _block_tables(space, kind)
     return [
         Matrix.from_numerators([[tables[key][t] for key in row] for row in layout], den)
@@ -324,76 +275,12 @@ def build_projectors(space: GameSpace) -> ProjectorSet:
     )
 
 
-# -- the M_S basis: oracle routes to X (acceptance criterion 2) ---------
+def __getattr__(name: str) -> object:
+    """A name of gamedecomp.dense, such as the structural matrices and the M_S
+    oracle routes, loading that module on first use; dunder names are refused."""
+    if not name.startswith("__"):
+        from gamedecomp import dense
 
-Element = dict[frozenset[int], Fraction]
-
-
-def closed_form_coefficients(n: int) -> Element:
-    """The group inverse X of sum_i (I - M_i), as an element of the algebra.
-
-    X equals
-
-        sum over proper subsets S of {1..n} of
-            1 / ((n - |S|) * C(n, |S|)) * M_S
-      - (1 + 1/2 + ... + 1/n) * M_{1..n}
-
-    whatever the strategy counts; this returns the weight attached to
-    each subset (the empty subset weighs the identity).
-    """
-    if n < 1:
-        raise ValueError("need at least one player")
-    coeffs: Element = {
-        s: Fraction(1, (n - len(s)) * math.comb(n, len(s))) for s in _ordered_subsets(n)[:-1]
-    }
-    coeffs[frozenset(range(1, n + 1))] = -sum(Fraction(1, i) for i in range(1, n + 1))
-    return coeffs
-
-
-def _ordered_subsets(n: int) -> list[frozenset[int]]:
-    return [frozenset(c) for size in range(n + 1) for c in combinations(range(1, n + 1), size)]
-
-
-def _multiply(left: Element, right: Element) -> Element:
-    """Product of two elements: M_S @ M_T = M_{S|T}, zero weights dropped."""
-    out: Element = {}
-    for s, a in left.items():
-        for t, b in right.items():
-            out[s | t] = out.get(s | t, Fraction(0)) + a * b
-    return {key: value for key, value in out.items() if value != 0}
-
-
-def _densify(space: GameSpace, element: Element) -> Matrix:
-    """The k x k matrix of sum_S c_S M_S: on V_T, the sum of the c_S with S disjoint from T."""
-    bits = _player_bits(space)
-    counts = [space.strategy_counts[i - 1] for i in bits]
-    weighted = [(sum(bits.get(i, 0) for i in s), c) for s, c in element.items()]
-    table = [sum(c for s, c in weighted if not s & t) for t in range(1 << len(bits))]
-    den = math.lcm(*(c.denominator for c in table))
-    ints = [c.numerator * (den // c.denominator) for c in table]
-    return _densify_blocks(counts, {None: ints}, den, [[None]], _row_gathers(counts, 1))
-
-
-def group_inverse_closed_form(space: GameSpace) -> Matrix:
-    """The k x k group inverse X via the closed-form subset sum."""
-    return _densify(space, closed_form_coefficients(space.n))
-
-
-def group_inverse_solve_route(space: GameSpace) -> Matrix:
-    """The same X, found by solving A @ A @ X = A inside the algebra.
-
-    A = n I - sum_i M_i lives in the algebra spanned by the M_S, so the
-    defining equation becomes a 2^n x 2^n rational solve; the group
-    inverse is then A @ X @ X.  Raises RuntimeError if the solve fails,
-    which no well-formed space produces.
-    """
-    subsets = _ordered_subsets(space.n)
-    a_elem = {s: Fraction(space.n if not s else -1) for s in subsets[: space.n + 1]}
-    a_squared = _multiply(a_elem, a_elem)
-    images = [_multiply(a_squared, {s: Fraction(1)}) for s in subsets]
-    coefficient_matrix = Matrix([[image.get(s, 0) for image in images] for s in subsets])
-    solved = solve_linear(coefficient_matrix, Matrix.column([a_elem.get(s, 0) for s in subsets]))
-    if solved is None:
-        raise RuntimeError("group-inverse equation is inconsistent in the algebra")
-    x_elem = dict(zip(subsets, solved.column_tuple(0)))
-    return _densify(space, _multiply(a_elem, _multiply(x_elem, x_elem)))
+        if hasattr(dense, name):
+            return getattr(dense, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

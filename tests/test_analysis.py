@@ -20,7 +20,7 @@ from _helpers import (
     symmetric_222,
     symmetric_33,
 )
-from gamedecomp import linalg
+from gamedecomp import dense
 from gamedecomp.analysis import (
     check_harmonic_defn,
     check_nonstrategic_defn,
@@ -245,7 +245,7 @@ def test_kernel_dim_builds_no_matrix(monkeypatch):
 
     monkeypatch.setattr(Matrix, "__init__", refuse)
     monkeypatch.setattr(Matrix, "_canonical", refuse)
-    monkeypatch.setattr(linalg, "rank", refuse)
+    monkeypatch.setattr(dense, "rank", refuse)
     assert harmonic_nash_kernel_dim(GameSpace((2,) * 8), (2, 1) * 4) == 762
     # two players give (k_1 - 2)(k_2 - 2)
     assert harmonic_nash_kernel_dim(GameSpace((45, 45)), (1, 45)) == 43 * 43
