@@ -80,15 +80,8 @@ def block_diag(blocks: Sequence[Matrix]) -> Matrix:
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product a (x) b."""
-    zeros = (0,) * b.ncols
-    out = []
-    for ra in a.numerators:
-        for rb in b.numerators:
-            row: list[int] = []
-            for x in ra:
-                row.extend([x * y for y in rb] if x else zeros)
-            out.append(tuple(row))
-    return Matrix._reduced(tuple(out), a.denominator * b.denominator)
+    rows = [tuple([x * y for x in ra for y in rb]) for ra in a.numerators for rb in b.numerators]
+    return Matrix._reduced(tuple(rows), a.denominator * b.denominator)
 
 
 def stp(a: Matrix, b: Matrix) -> Matrix:

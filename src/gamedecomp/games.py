@@ -116,6 +116,18 @@ class _Value:
         raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is immutable")
 
 
+def _shown(value: object) -> str:
+    """repr(value) for an error message, with an int of more than 64 bits,
+    alone or in a tuple, written as a bound: CPython refuses to write an
+    int of more than 4300 digits."""
+    if isinstance(value, tuple):
+        return f"({', '.join(map(_shown, value))}{',' * (len(value) == 1)})"
+    if not isinstance(value, int) or value.bit_length() <= 64:
+        return repr(value)
+    bound = f"2**{value.bit_length() - 1}"
+    return f"at least {bound}" if value > 0 else f"at most -{bound}"
+
+
 class GameSpace(_Value):
     """Player count and per-player strategy counts.
 
@@ -132,18 +144,14 @@ class GameSpace(_Value):
         if len(counts) < 1:
             raise ValueError("a game space needs at least one player")
         if any(not isinstance(c, int) or isinstance(c, bool) or c < 1 for c in counts):
-            raise ValueError(f"strategy counts must be integers >= 1, got {_cut(repr(counts))}")
+            raise ValueError(f"strategy counts must be integers >= 1, got {_cut(_shown(counts))}")
         # derived once: the profile count, and each player's index stride
         object.__setattr__(self, "k", math.prod(counts))
         cells = self.n * self.k
         if cells > CELL_CAP:
-            # huge strategy counts can give a cell count too long for
-            # str(); its bit length is enough to refuse the space
-            bits = cells.bit_length()
-            size = str(cells) if bits <= 64 else f"at least 2**{bits - 1}"
             raise SpaceCapError(
-                f"space [{self.n}; {_cut(','.join(map(str, counts)))}] has "
-                f"{size} payoff cells, exceeding the cap of {CELL_CAP}"
+                f"space [{self.n}; {_cut(','.join(map(_shown, counts)))}] has "
+                f"{_shown(cells)} payoff cells, exceeding the cap of {CELL_CAP}"
             )
         # after the cap check: a refused space's partial products can be huge
         strides = tuple(accumulate(reversed(counts[1:]), operator.mul, initial=1))[::-1]
@@ -172,25 +180,25 @@ class GameSpace(_Value):
     def check_profile(self, profile: Sequence[int]) -> tuple[int, ...]:
         s = tuple(profile)
         if len(s) != self.n:
-            raise ValueError(f"profile {s} has {len(s)} entries, expected {self.n}")
+            raise ValueError(f"profile {_shown(s)} has {len(s)} entries, expected {self.n}")
         for i, (choice, count) in enumerate(zip(s, self.strategy_counts), start=1):
             if not isinstance(choice, int) or isinstance(choice, bool):
-                raise ValueError(f"player {i} strategy {choice!r} is not an integer")
+                raise ValueError(f"player {i} strategy {_shown(choice)} is not an integer")
             if not 1 <= choice <= count:
-                raise ValueError(f"player {i} strategy {choice} out of range 1..{count}")
+                raise ValueError(f"player {i} strategy {_shown(choice)} out of range 1..{count}")
         return s
 
     def check_player(self, player: int) -> int:
         """Return player if it is an int (not a bool) in 1..n; raise ValueError otherwise."""
         if type(player) is not int or not 1 <= player <= self.n:
-            raise ValueError(f"player {player!r} is not an integer in 1..{self.n}")
+            raise ValueError(f"player {_shown(player)} is not an integer in 1..{self.n}")
         return player
 
     def _check_index(self, index: int, first: int) -> None:
         """Refuse, as check_player does, a profile index outside first..first + k - 1."""
         last = first + self.k - 1
         if type(index) is not int or not first <= index <= last:
-            raise ValueError(f"profile index {index!r} is not an integer in {first}..{last}")
+            raise ValueError(f"profile index {_shown(index)} is not an integer in {first}..{last}")
 
     def profile_index(self, profile: Sequence[int]) -> int:
         """1-based position of a profile in index order.

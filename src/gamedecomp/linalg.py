@@ -6,10 +6,11 @@ exactly, as an int or "p/q", or as a fixed-point decimal string, and
 refuses one too long to print.  Every command needs these two.
 
 The Matrix class lives in gamedecomp.matrix and the elimination, the
-products and the generalized inverses in gamedecomp.dense.  Both are
-served here too, through the module __getattr__ below, and are loaded
-on their first use, so a command that builds no matrix does not compile
-them.
+products and the generalized inverses in gamedecomp.dense, which holds
+Matrix too.  Every name of dense is served here, through the module
+__getattr__ below, and from projectors, whose __getattr__ calls the
+same hook.  dense, and matrix with it, is loaded on first use, so a
+command that builds no matrix compiles neither.
 """
 
 from __future__ import annotations
@@ -85,21 +86,21 @@ def _cut(text: str, show: Callable[[str], str] = str) -> str:
     return show(text) if len(text) <= 40 else f"{show(text[:40])}..."
 
 
+def _dense_name(module: str, name: str) -> object:
+    """gamedecomp.dense's object called name, for the __getattr__ of module.
 
-def __getattr__(name: str) -> object:
-    """A name of gamedecomp.matrix or gamedecomp.dense, loading that module on first use.
-
-    Dunder names are refused: the import system probes attributes such as
-    __path__, and loading a tier then could run while a module that imports
-    this one is half initialised.
+    dense is loaded on first use.  Dunder names are refused before that:
+    the import system probes attributes such as __path__, and loading
+    dense then could run while a module that imports this one is half
+    initialised.
     """
     if not name.startswith("__"):
-        from gamedecomp import matrix
-
-        if hasattr(matrix, name):
-            return getattr(matrix, name)
         from gamedecomp import dense
 
         if hasattr(dense, name):
             return getattr(dense, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    raise AttributeError(f"module {module!r} has no attribute {name!r}")
+
+
+def __getattr__(name: str) -> object:
+    return _dense_name(__name__, name)

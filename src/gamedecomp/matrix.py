@@ -10,9 +10,10 @@ operation runs on Python ints: a product takes integer dot products
 over the product of the denominators and reduces the result once, sums
 bring both operands to the least common denominator.
 
-Only the commands and oracles that build a matrix import this module;
-the elimination, the products and the structural matrices are in
-dense.py.
+Only the commands and oracles that build a matrix import this module.
+The elimination, the other products and the structural matrices are in
+dense.py, which holds Matrix too: linalg and projectors serve the class
+from there.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
-from operator import add, itemgetter, mul, sub
+from operator import add, mul, sub
 
 from gamedecomp.linalg import Scalar, parse_rational
 
@@ -230,24 +231,12 @@ class Matrix:
         # Entry (r, c) is the integer dot product of row r and column c
         # over the product of the denominators, reduced once for the
         # whole matrix.  The dot products skip the zeros of row r.
-        right = other._num
-        cols = list(zip(*right))
-        zero_row = (0,) * other._ncols
+        cols = list(zip(*other._num))
         out = []
         for row in self._num:
             terms = [j for j, x in enumerate(row) if x]
-            if len(terms) == len(row):
-                out.append(tuple([sum(map(mul, row, col)) for col in cols]))
-            elif len(terms) > 1:
-                values = [row[j] for j in terms]
-                pick = itemgetter(*terms)
-                out.append(tuple([sum(map(mul, values, pick(col))) for col in cols]))
-            elif terms:
-                # one term: the product row is a multiple of one row of other
-                x = row[terms[0]]
-                out.append(tuple([x * y for y in right[terms[0]]]))
-            else:
-                out.append(zero_row)
+            values = [row[j] for j in terms]
+            out.append(tuple([sum(map(mul, values, map(col.__getitem__, terms))) for col in cols]))
         return Matrix._reduced(tuple(out), self._den * other._den)
 
     def trace(self) -> Fraction:

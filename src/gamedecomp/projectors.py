@@ -25,8 +25,8 @@ per V_T, n x n, for `verify`'s idempotency and product checks.  The
 bundle writer builds the first Matrix of a call, so gamedecomp.matrix is
 imported there, on first use.  The Kronecker-built E_i, e_i, B_N, B_P
 and P_N and the M_S basis routes to X live in gamedecomp.dense; the
-module __getattr__ at the end still serves them from here.  Nothing is
-cached.
+module __getattr__ at the end serves every name of that module, Matrix
+among them, through linalg's hook.  Nothing is cached.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from fractions import Fraction
 from itertools import chain
 from operator import itemgetter
 
+from gamedecomp import linalg
 from gamedecomp.games import GameSpace, _Value
 
 
@@ -158,12 +159,13 @@ def _row_gathers(counts: Sequence[int], width: int) -> list[Callable]:
     masks = [[0]]
     for b, count in enumerate(counts):
         axis = range(count)
-        masks = [[m | (x != y) << b for m in row for y in axis] for row in masks for x in axis]
+        bits = [[(x != y) << b for y in axis] for x in axis]
+        masks = [[m | d for m in row for d in own] for row in masks for own in bits]
     if width * len(masks) == 1:
         # one index gives a bare value, not a 1-tuple
         return [lambda values: (values[0],)]
-    size = 1 << len(counts)
-    return [itemgetter(*[j * size + m for j in range(width) for m in row]) for row in masks]
+    offsets = range(0, width << len(counts), 1 << len(counts))
+    return [itemgetter(*[start + m for start in offsets for m in row]) for row in masks]
 
 
 def _densify_blocks(
@@ -276,11 +278,4 @@ def build_projectors(space: GameSpace) -> ProjectorSet:
 
 
 def __getattr__(name: str) -> object:
-    """A name of gamedecomp.dense, such as the structural matrices and the M_S
-    oracle routes, loading that module on first use; dunder names are refused."""
-    if not name.startswith("__"):
-        from gamedecomp import dense
-
-        if hasattr(dense, name):
-            return getattr(dense, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return linalg._dense_name(__name__, name)

@@ -760,13 +760,14 @@ def test_cli_import_loads_no_dataclasses_inspect_or_typing(tmp_path):
     assert tiers <= verified
 
 
-def test_moved_names_resolve_to_their_defining_modules():
-    # linalg and projectors serve the names that moved to gamedecomp.matrix
-    # and gamedecomp.dense through a module __getattr__, so the acceptance
-    # tests, pickles naming the old module and the benchmark's tracer, which
-    # looks its entry points up after importing gamedecomp.cli alone, still
-    # find them, as the very objects those modules hold.  Dunder names are
-    # refused without loading anything: the import system probes __path__
+def test_moved_names_resolve_to_their_defining_modules(monkeypatch):
+    # linalg and projectors serve the names that moved to gamedecomp.dense,
+    # Matrix among them, through one hook in linalg that each module
+    # __getattr__ calls, so the acceptance tests, pickles naming the old
+    # module and the benchmark's tracer, which looks its entry points up
+    # after importing gamedecomp.cli alone, still find them, as the very
+    # objects those modules hold.  Dunder names are refused without loading
+    # anything: the import system probes __path__
     tests = Path(__file__).resolve().parent
     tree = ast.parse((tests / "test_acceptance.py").read_text(encoding="utf-8"))
     served = [
@@ -785,8 +786,13 @@ def test_moved_names_resolve_to_their_defining_modules():
     assert pickle.Unpickler(io.BytesIO()).find_class("gamedecomp.linalg", "Matrix") is matrix.Matrix
     for module in (linalg, projectors):
         for name in ("no_such_name", "__path__"):
-            with pytest.raises(AttributeError):
+            with pytest.raises(AttributeError, match=f"^module {module.__name__!r} has no"):
                 getattr(module, name)
+    calls = []
+    monkeypatch.setattr(linalg, "_dense_name", lambda *call: calls.append(call) or "served")
+    assert (linalg.no_such_name, projectors.no_such_name) == ("served", "served")
+    assert calls == [(module.__name__, "no_such_name") for module in (linalg, projectors)]
+    monkeypatch.undo()
     bundle = build_projectors(GameSpace((2, 2)))
     for value in (bundle, bundle.potential):
         for twin in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):

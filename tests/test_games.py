@@ -144,6 +144,28 @@ def test_player_numbers_and_profile_indices_must_be_integers():
     assert space.line(2, 5) == slice(3, 6, 1)
 
 
+def test_refusals_write_huge_ints_as_bounds():
+    # CPython writes no int of more than 4300 digits, so a refusal quoting
+    # one used to raise CPython's own ValueError in place of the library's
+    huge = 10**5000
+    for counts in [(huge,), (2, huge)]:
+        with pytest.raises(SpaceCapError, match=r"at least 2\*\*166"):
+            GameSpace(counts)
+    space = GameSpace((2, 3))
+    refused = [
+        lambda: GameSpace((huge, 0)),
+        lambda: space.check_profile((huge, 1)),
+        lambda: space.check_profile((huge,)),
+        lambda: space.check_player(-huge),
+        lambda: space.index_profile(huge),
+        lambda: space.line(1, huge),
+    ]
+    for call in refused:
+        with pytest.raises(ValueError, match=r"at (least |most -)2\*\*16609\b") as info:
+            call()
+        assert type(info.value) is ValueError and len(str(info.value)) < 1000
+
+
 def test_payoff_lookup():
     zero = Game.zero(GameSpace((2, 2)))
     assert all(zero.payoff(i, s) == 0 for i in (1, 2) for s in zero.space.profiles())
