@@ -261,8 +261,12 @@ class MixedProfile(_Value):
         for i, row in enumerate(weights, start=1):
             if any(w < 0 for w in row):
                 raise ValueError(f"player {i} has a negative weight")
-            if sum(row) != 1:
-                raise ValueError(f"player {i} weights sum to {sum(row)}, not 1")
+            if (total := sum(row)) != 1:
+                try:
+                    total = format_rational(total)
+                except ResultTooLongError as exc:
+                    raise ValueError(f"player {i} weights do not sum to 1: {exc}") from None
+                raise ValueError(f"player {i} weights sum to {total}, not 1")
 
     @classmethod
     def uniform(cls, space: GameSpace) -> "MixedProfile":

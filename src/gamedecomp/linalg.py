@@ -7,10 +7,10 @@ refuses one too long to print.  Every command needs these two.
 
 The Matrix class lives in gamedecomp.matrix and the elimination, the
 products and the generalized inverses in gamedecomp.dense, which holds
-Matrix too.  Every name of dense is served here, through the module
-__getattr__ below, and from projectors, whose __getattr__ calls the
-same hook.  dense, and matrix with it, is loaded on first use, so a
-command that builds no matrix compiles neither.
+Matrix too.  Every object that dense or matrix defines is served here,
+through the module __getattr__ below, and from projectors, whose
+__getattr__ calls the same hook.  dense, and matrix with it, is loaded
+on first use, so a command that builds no matrix compiles neither.
 """
 
 from __future__ import annotations
@@ -89,16 +89,18 @@ def _cut(text: str, show: Callable[[str], str] = str) -> str:
 def _dense_name(module: str, name: str) -> object:
     """gamedecomp.dense's object called name, for the __getattr__ of module.
 
-    dense is loaded on first use.  Dunder names are refused before that:
-    the import system probes attributes such as __path__, and loading
-    dense then could run while a module that imports this one is half
-    initialised.
+    Only objects that dense or matrix define are served, not the names
+    dense imports.  dense is loaded on first use.  Dunder names are
+    refused before that: the import system probes attributes such as
+    __path__, and loading dense then could run while a module that
+    imports this one is half initialised.
     """
     if not name.startswith("__"):
         from gamedecomp import dense
 
-        if hasattr(dense, name):
-            return getattr(dense, name)
+        value = getattr(dense, name, None)
+        if getattr(value, "__module__", None) in ("gamedecomp.dense", "gamedecomp.matrix"):
+            return value
     raise AttributeError(f"module {module!r} has no attribute {name!r}")
 
 

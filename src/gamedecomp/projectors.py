@@ -12,21 +12,23 @@ X of sum_i (I - M_i) is 1/|T|, and 0 on the constants.  Players with
 one strategy have M_i = I and play no part.
 
 average() applies one M_i to a payoff row by along-axis means over
-GameSpace.lines, with no matrix, and apply_group_inverse() applies X by
-splitting the row by grade |T| with one M_i per player and grade;
-decompose.py uses only these.  The dense projections of the three parts
-are written from the same ANOVA tables, listed by the bit mask of T and
-held as ints over lcm(1..n_eff): _densify_blocks() turns them into
-entries with int 2x2 steps and writes each row with one gather.  The
-dense ProjectorSet holds only those three and, like Decomposition, sums
-them through PARTS into potential and harmonic (_Parts).  It serves
-`project`, `verify` and the oracles.  part_matrices() gives a projection
-per V_T, n x n, for `verify`'s idempotency and product checks.  The
-bundle writer builds the first Matrix of a call, so gamedecomp.matrix is
-imported there, on first use.  The Kronecker-built E_i, e_i, B_N, B_P
-and P_N and the M_S basis routes to X live in gamedecomp.dense; the
-module __getattr__ at the end serves every name of that module, Matrix
-among them, through linalg's hook.  Nothing is cached.
+GameSpace.lines, with no matrix; axis_means() sums a line's numerators
+over the lcm of its denominators, so each mean reduces once.
+apply_group_inverse() applies X by splitting the row by grade |T| with
+one M_i per player and grade; decompose.py uses only these.  The dense
+projections of the three parts are written from the same ANOVA tables,
+listed by the bit mask of T and held as ints over lcm(1..n_eff):
+_densify_blocks() turns them into entries with int 2x2 steps and writes
+each row with one gather.  The dense ProjectorSet holds only those three
+and, like Decomposition, sums them through PARTS into potential and
+harmonic (_Parts).  It serves `project`, `verify` and the oracles.
+part_matrices() gives a projection per V_T, n x n, for `verify`'s
+idempotency and product checks.  The bundle writer builds the first
+Matrix of a call, so gamedecomp.matrix is imported there, on first use.
+The Kronecker-built E_i, e_i, B_N, B_P and P_N and the M_S basis routes
+to X live in gamedecomp.dense; the module __getattr__ at the end serves
+the objects it and matrix define, Matrix among them, through linalg's
+hook.  Nothing is cached.
 """
 
 from __future__ import annotations
@@ -82,17 +84,32 @@ class _Parts(_Value):
 # -- the algebra applied to payoff rows ------------------------------------
 
 
+def _check_row(space: GameSpace, row: Sequence[Fraction]) -> None:
+    """Refuse a payoff row that does not hold one entry per profile of space."""
+    if len(row) != space.k:
+        raise ValueError(f"payoff row has {len(row)} entries, expected {space.k}")
+
+
 def axis_means(space: GameSpace, row: Sequence[Fraction], player: int) -> list[Fraction]:
-    """Means of a payoff row along player's axis, one per own-strategy line."""
-    count = space.strategy_counts[player - 1]
-    return [sum(row[line]) / count for line in space.lines(player)]
+    """Means of a payoff row along player's axis, one Fraction per own-strategy line."""
+    count = space.strategy_counts[space.check_player(player) - 1]
+    _check_row(space, row)
+    means = []
+    for line in space.lines(player):
+        values = row[line]
+        # the line's lcm, not the row's, which can be far wider
+        den = math.lcm(*{x.denominator for x in values})
+        total = sum([x.numerator * (den // x.denominator) for x in values])
+        means.append(Fraction(total, den * count))
+    return means
 
 
 def average(space: GameSpace, row: Sequence[Fraction], player: int) -> list[Fraction]:
     """M_i @ row: each payoff replaced by its mean along player i's axis."""
+    means = axis_means(space, row, player)
     count = space.strategy_counts[player - 1]
     out = list(row)
-    for line, mean in zip(space.lines(player), axis_means(space, row, player)):
+    for line, mean in zip(space.lines(player), means):
         out[line] = [mean] * count
     return out
 
@@ -106,6 +123,7 @@ def apply_group_inverse(space: GameSpace, row: Sequence[Fraction]) -> list[Fract
     g_c - M_i g_c, which moves one grade up; players with one strategy
     have M_i = I and change nothing.
     """
+    _check_row(space, row)
     grades = [list(row)]
     for player in _player_bits(space):
         kept = [average(space, g, player) for g in grades]

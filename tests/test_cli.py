@@ -788,6 +788,12 @@ def test_moved_names_resolve_to_their_defining_modules(monkeypatch):
         for name in ("no_such_name", "__path__"):
             with pytest.raises(AttributeError, match=f"^module {module.__name__!r} has no"):
                 getattr(module, name)
+    # nor are the names dense imports from elsewhere
+    imported = [(linalg, "GameSpace"), (linalg, "math"), (linalg, "_row_gathers")]
+    for module, name in imported + [(projectors, "combinations")]:
+        refusal = f"^module {module.__name__!r} has no attribute {name!r}$"
+        with pytest.raises(AttributeError, match=refusal):
+            getattr(module, name)
     calls = []
     monkeypatch.setattr(linalg, "_dense_name", lambda *call: calls.append(call) or "served")
     assert (linalg.no_such_name, projectors.no_such_name) == ("served", "served")

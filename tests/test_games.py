@@ -245,10 +245,15 @@ def test_mixed_profile_validation():
     space = GameSpace((2, 3))
     uniform = MixedProfile.uniform(space)
     assert uniform.weights[1] == (Fraction(1, 3),) * 3
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^player 1 weights sum to 5/6, not 1$"):
         MixedProfile(((Fraction(1, 2), Fraction(1, 3)),))
     with pytest.raises(ValueError):
         MixedProfile(((Fraction(3, 2), Fraction(-1, 2)),))
+    # a sum too long to print is not quoted: that raised CPython's own
+    # 4300-digit ValueError in place of the refusal
+    for weights in [((10**5000,), (1,)), ((Fraction(1, 10**5000), 1), (1, 0))]:
+        with pytest.raises(ValueError, match=r"^player 1 weights do not sum to 1: .*too long"):
+            MixedProfile(weights)
     pure = MixedProfile.pure(space, (2, 3))
     assert pure.weights == ((0, 1), (0, 0, 1))
 

@@ -25,6 +25,9 @@ from gamedecomp.projectors import (
     PART_KINDS,
     ProjectorSet,
     SubspaceKind,
+    apply_group_inverse,
+    average,
+    axis_means,
     build_B_N,
     build_B_P,
     build_E,
@@ -398,3 +401,52 @@ def test_subspace_dimensions_sum():
             )
         )
         assert total == space.payoff_cells
+
+
+# payoffs with mixed denominators on one line: zeros, negatives, plain ints
+# and pairwise-distinct wide denominators, so a line sum scaled by one
+# entry's denominator, or summed without rescaling, comes out wrong
+MIXED_PAYOFFS = st.one_of(
+    st.integers(-9, 9),
+    st.fractions(min_value=-9, max_value=9, max_denominator=12),
+    st.builds(Fraction, st.integers(-(2**70), 2**70), st.integers(1, 2**1000)),
+)
+
+
+@PROPERTY
+@given(spaces(max_cells=60), st.data())
+def test_axis_means_are_the_exact_line_means(space, data):
+    row = data.draw(st.lists(MIXED_PAYOFFS, min_size=space.k, max_size=space.k))
+    for i, count in enumerate(space.strategy_counts, start=1):
+        means = axis_means(space, row, i)
+        assert means == [sum(row[line], Fraction(0)) / count for line in space.lines(i)]
+        averaged = average(space, row, i)
+        assert all(type(x) is Fraction for x in means + averaged)
+        for line, mean in zip(space.lines(i), means):
+            assert averaged[line] == [mean] * count
+
+
+def test_row_functions_give_fractions_and_refuse_wrong_rows():
+    # exact ints in give Fractions out, not binary floats; a player out of
+    # range is refused before its strategy count is read, and a row of the
+    # wrong length before any line is, also where X runs no average
+    space = GameSpace((2, 2))
+    results = [
+        (average(space, [1, 2, 3, 4], 1), [2, 3, 2, 3]),
+        (axis_means(space, [1, 2, 3, 4], 2), [Fraction(3, 2), Fraction(7, 2)]),
+        (apply_group_inverse(space, [1, 2, 3, 4]), [Fraction(n, 2) for n in (-3, -1, 1, 3)]),
+    ]
+    for result, expected in results:
+        assert result == expected and all(type(x) is Fraction for x in result)
+    for player in (0, 3):
+        with pytest.raises(ValueError, match=r"^player \d is not an integer in 1\.\.2$"):
+            axis_means(space, [1, 2, 3, 4], player)
+    refused = [
+        (lambda: average(space, [1, 2, 3, 4, 5], 1), 5, 4),
+        (lambda: axis_means(space, [1, 2, 3], 2), 3, 4),
+        (lambda: apply_group_inverse(space, [1, 2, 3, 4, 5]), 5, 4),
+        (lambda: apply_group_inverse(GameSpace((1, 1)), [1, 2]), 2, 1),
+    ]
+    for call, got, k in refused:
+        with pytest.raises(ValueError, match=f"^payoff row has {got} entries, expected {k}$"):
+            call()
