@@ -25,12 +25,10 @@ from fractions import Fraction
 
 from gamedecomp import analysis
 from gamedecomp.decompose import (
-    Decomposition,
     PotentialFunction,
-    _potential,
-    _split,
     decompose,
     differs_by_constant,
+    is_member,
     nonstrategic_component_direct,
     potential_function,
     raw_potential_vector,
@@ -65,9 +63,10 @@ TABLE_COMMANDS = ("project", "potential")
 MAX_DECIMAL_DIGITS = 1000
 # project and verify build dense nk x nk matrices.  verify certifies the
 # potential and nonstrategic projections against B_P and B_N (P_N's follows
-# with the sum identity); one child takes 0.2 s of CPU at 81 cells, 0.4 s at
-# 192, 1.1-1.3 s at 324, 2.1-2.5 s at 384 and 2.2-2.7 s (31 MB) at 512;
-# project takes 0.9 s (72 MB) at 512 cells and its output runs to megabytes
+# with the sum identity); one child takes 0.17 s of CPU at 81 cells, 0.29 s
+# at 192, 0.70 s at 324, 1.36 s at 384 and 1.67 s (31 MB) at 512 (2-vCPU
+# machine, Python 3.11); project takes 0.53 s (65 MB) at 512 cells and its
+# output runs to megabytes
 DENSE_COMMANDS = ("project", "verify")
 MAX_DENSE_CELLS = 512
 
@@ -116,20 +115,17 @@ def _load_game(args: argparse.Namespace) -> Game:
             )
         game = Game.from_vector(args.space, flat)
     if any(c == 1 for c in game.space.strategy_counts):
-        print(
-            "warning: space has a single-strategy player; "
-            "formulas degenerate but remain valid",
-            file=sys.stderr,
-        )
+        warning = "space has a single-strategy player; formulas degenerate but remain valid"
+        print(f"warning: {warning}", file=sys.stderr)
     return game
 
 
 # -- subcommands --------------------------------------------------------
 
 
-def _classification(game: Game, parts: Decomposition) -> dict[str, dict[str, bool]]:
+def _classification(game: Game) -> dict[str, dict[str, bool]]:
     """Memberships and the definitional tests, keyed by subspace kind value, and their agreement."""
-    memberships = {kind.value: parts.is_member(kind) for kind in SubspaceKind}
+    memberships = {kind.value: is_member(game, kind) for kind in SubspaceKind}
     checks = {
         "nonstrategic": analysis.check_nonstrategic_defn(game),
         "pure-harmonic": analysis.check_pure_harmonic_defn(game),
@@ -155,16 +151,14 @@ def _cmd_decompose(game: Game, args: argparse.Namespace) -> dict:
     return {
         "arithmetic": "exact-rational" if args.decimal is None else "decimal",
         "components": {
-            "pure_potential": game_document(parts.pure_potential, args.decimal),
-            "nonstrategic": game_document(parts.nonstrategic, args.decimal),
-            "pure_harmonic": game_document(parts.pure_harmonic, args.decimal),
+            name: game_document(getattr(parts, name), args.decimal) for name in parts._fields
         },
         "components_sum_to_input": parts.total() == game,
     }
 
 
 def _cmd_classify(game: Game, args: argparse.Namespace) -> dict:
-    return _classification(game, decompose(game))
+    return _classification(game)
 
 
 def _cmd_potential(game: Game, args: argparse.Namespace) -> dict:
@@ -233,9 +227,9 @@ def _verification_checks(game: Game) -> list[tuple[str, bool]]:
     # the right trace when the parts are and the parts' products are zero;
     # idempotency and the products hold iff they hold on every ANOVA part
     split = [part_matrices(space, kind) for kind in PART_KINDS]
-    parts_g, phi = _split(game)
+    parts_g = decompose(game)
     part_vectors = {kind: parts_g.projection(kind).structure_vector() for kind in PART_KINDS}
-    agreement = _classification(game, parts_g)["checks_agree_with_memberships"]
+    agreement = _classification(game)["checks_agree_with_memberships"]
     solved = solve_potential_equation(game)
     return [
         (
@@ -273,7 +267,7 @@ def _verification_checks(game: Game) -> list[tuple[str, bool]]:
             all(bundle.projection(kind) @ v == v for kind, v in part_vectors.items()),
         ),
         ("definitional_checks_agree", all(agreement.values())),
-        ("potential_routes_agree", _routes_agree(_potential(game, parts_g, phi), solved)),
+        ("potential_routes_agree", _routes_agree(potential_function(game), solved)),
         ("nonstrategic_direct_agrees", nonstrategic_component_direct(game) == parts_g.nonstrategic),
     ]
 

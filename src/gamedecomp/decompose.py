@@ -9,6 +9,9 @@ is the canonical potential of its potential component, pure_potential +
 nonstrategic (raw_potential_vector says why).
 X is applied by ANOVA grade (apply_group_inverse), one average per
 effective player and grade; the M_S basis serves only the oracles.
+_split runs once per Game and keeps the parts and phi on it while it lives
+(sound: a Game is immutable); every analysis reads them but the oracles
+solve_potential_equation and nonstrategic_component_direct.
 Potential functions are extracted two independent ways: phi with its
 offsets (the means of u_i - phi along player i's axis), and path sums
 of unilateral payoff changes, which solve the deviation-difference
@@ -84,8 +87,11 @@ def differs_by_constant(a: Sequence[Fraction], b: Sequence[Fraction]) -> bool:
     return all(x - y == delta for x, y in zip(a, b))
 
 
-def _split(game: Game) -> tuple[Decomposition, list[Fraction]]:
-    """The game's decomposition, and the canonical potential phi of its potential component."""
+def _split(game: Game) -> tuple[Decomposition, tuple[Fraction, ...]]:
+    """The game's decomposition, and the canonical potential phi of its potential component,
+    computed once and kept on the game, under a name that ==, hash and repr do not read."""
+    if "_split" in vars(game):
+        return game._split
     space, rows = game.space, game.payoff_rows
     nonstrategic = [average(space, row, i) for i, row in enumerate(rows, start=1)]
     phi = apply_group_inverse(
@@ -97,11 +103,9 @@ def _split(game: Game) -> tuple[Decomposition, list[Fraction]]:
     pure_harmonic = [
         [u - p - s for u, p, s in zip(*parts)] for parts in zip(rows, pure_potential, nonstrategic)
     ]
-    return Decomposition(
-        pure_potential=Game(space, pure_potential),
-        nonstrategic=Game(space, nonstrategic),
-        pure_harmonic=Game(space, pure_harmonic),
-    ), phi
+    parts = [Game(space, part) for part in (pure_potential, nonstrategic, pure_harmonic)]
+    object.__setattr__(game, "_split", (Decomposition(*parts), tuple(phi)))
+    return game._split
 
 
 def decompose(game: Game) -> Decomposition:
@@ -126,7 +130,7 @@ def raw_potential_vector(game: Game) -> tuple[Fraction, ...]:
     part.  So phi is potential_function(u').values, and for a potential
     game, its own canonical potential.
     """
-    return tuple(_split(game)[1])
+    return _split(game)[1]
 
 
 def potential_function(game: Game) -> PotentialFunction | None:
@@ -136,18 +140,14 @@ def potential_function(game: Game) -> PotentialFunction | None:
     player i's offsets are the means of u_i - phi along i's own axis,
     one per profile of the other players.
     """
-    return _potential(game, *_split(game))
-
-
-def _potential(game: Game, parts: Decomposition, phi: list[Fraction]) -> PotentialFunction | None:
-    """potential_function, given the game's decomposition and its phi."""
+    parts, phi = _split(game)
     if not parts.is_member(SubspaceKind.POTENTIAL):
         return None
     offsets = tuple(
         tuple(axis_means(game.space, [u - p for u, p in zip(row, phi)], i))
         for i, row in enumerate(game.payoff_rows, start=1)
     )
-    return PotentialFunction(values=tuple(phi), player_offsets=offsets)
+    return PotentialFunction(values=phi, player_offsets=offsets)
 
 
 def solve_potential_equation(game: Game) -> PotentialFunction | None:

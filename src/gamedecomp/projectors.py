@@ -28,7 +28,8 @@ Matrix of a call, so gamedecomp.matrix is imported there, on first use.
 The Kronecker-built E_i, e_i, B_N, B_P and P_N and the M_S basis routes
 to X live in gamedecomp.dense; the module __getattr__ at the end serves
 the objects it and matrix define, Matrix among them, through linalg's
-hook.  Nothing is cached.
+hook.  Nothing here is cached; the one memo is a game's split, kept on
+the Game by decompose._split.
 """
 
 from __future__ import annotations
@@ -95,12 +96,17 @@ def axis_means(space: GameSpace, row: Sequence[Fraction], player: int) -> list[F
     count = space.strategy_counts[space.check_player(player) - 1]
     _check_row(space, row)
     means = []
-    for line in space.lines(player):
-        values = row[line]
-        # the line's lcm, not the row's, which can be far wider
-        den = math.lcm(*{x.denominator for x in values})
-        total = sum([x.numerator * (den // x.denominator) for x in values])
-        means.append(Fraction(total, den * count))
+    try:
+        for line in space.lines(player):
+            values = row[line]
+            # the line's lcm, not the row's, which can be far wider
+            den = math.lcm(*{x.denominator for x in values})
+            total = sum([x.numerator * (den // x.denominator) for x in values])
+            means.append(Fraction(total, den * count))
+    except AttributeError:  # looked for only here: a valid row pays nothing for it
+        j, x = next((j, x) for j, x in enumerate(row) if not hasattr(x, "denominator"))
+        shown = f"{type(x).__name__} {linalg._cut(repr(x))}"
+        raise TypeError(f"payoff row entry {j} is {shown}, not a rational") from None
     return means
 
 

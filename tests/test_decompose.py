@@ -9,6 +9,7 @@ from itertools import combinations
 
 import pytest
 from hypothesis import example, given
+from hypothesis import strategies as st
 
 import gamedecomp.projectors as projectors
 from _helpers import (
@@ -525,3 +526,111 @@ def test_analyses_build_and_apply_no_dense_matrix(monkeypatch):
     assert potential_function(potential) is not None
     assert solve_potential_equation(game) is None
     assert solve_potential_equation(potential) is not None
+
+
+# -- the split, kept on the game ------------------------------------------
+
+DECOMPOSE = importlib.import_module("gamedecomp.decompose")
+ANALYSES = {
+    "decompose": decompose,
+    **{kind.value: lambda g, kind=kind: is_member(g, kind) for kind in SubspaceKind},
+    "potential_function": potential_function,
+    "raw_potential_vector": raw_potential_vector,
+    "solve_potential_equation": solve_potential_equation,
+    "nonstrategic_component_direct": nonstrategic_component_direct,
+}
+
+
+@pytest.fixture
+def splits(monkeypatch):
+    """The games split while the test runs, one space per split: the split
+    applies X once, and nothing else in the package applies it."""
+    calls = []
+    real = DECOMPOSE.apply_group_inverse
+
+    def counted(space, row):
+        calls.append(space)
+        return real(space, row)
+
+    monkeypatch.setattr(DECOMPOSE, "apply_group_inverse", counted)
+    return calls
+
+
+def test_each_game_is_split_once(splits):
+    rng = random.Random(26)
+    space = GameSpace((2, 3))
+    for game in (random_game(rng, space), potential_game(rng, space)):
+        shown, key = repr(game), hash(game)
+        twin = Game(space, game.payoff_rows)
+        first = decompose(game)
+        for analysis in ANALYSES.values():
+            analysis(game)
+        assert decompose(game) is first
+        assert len(splits) == 1
+        assert repr(game) == shown and hash(game) == key and game == twin
+        # an equal game built apart splits once more, to equal results
+        assert decompose(twin) == first and decompose(twin) is not first
+        assert len(splits) == 2
+        splits.clear()
+
+
+@pytest.mark.parametrize(
+    "argv, count",
+    [
+        (["decompose"], 1),
+        (["classify"], 1),
+        (["potential"], 1),
+        (["potential", "--experimental-raw-vector"], 1),
+        (["verify"], 1),
+        (["nash"], 0),
+    ],
+    ids=["decompose", "classify", "potential", "potential-raw-vector", "verify", "nash"],
+)
+def test_each_command_splits_its_game_at_most_once(tmp_path, capsys, splits, argv, count):
+    from gamedecomp.cli import main
+    from gamedecomp.games import serialize_game
+
+    path = tmp_path / "game.json"
+    path.write_text(serialize_game(random_game(random.Random(26), GameSpace((2, 3)))))
+    assert main([argv[0], str(path), *argv[1:]]) == 0
+    # the game is not potential, so the raw vector is printed where asked
+    printed = "experimental_raw_vector" in capsys.readouterr().out
+    assert printed == ("--experimental-raw-vector" in argv)
+    assert len(splits) == count
+
+
+@PROPERTY
+@given(games(max_cells=60), st.permutations(list(ANALYSES)))
+def test_analyses_agree_in_any_order_with_a_fresh_game(game, order):
+    results = {name: ANALYSES[name](game) for name in order}
+    fresh = Game(game.space, game.payoff_rows)
+    assert results == {name: analysis(fresh) for name, analysis in ANALYSES.items()}
+
+
+def test_the_oracles_do_not_read_the_kept_split():
+    # a game carrying another game's split: the analyses that read it give
+    # the other game's answers, and every oracle and verify still see the
+    # game's own payoffs
+    from gamedecomp import analysis, cli
+
+    rng = random.Random(26)
+    space = GameSpace((2, 3))
+    game, other = random_game(rng, space), potential_game(rng, space)
+    fresh = Game(space, game.payoff_rows)
+    object.__setattr__(game, "_split", DECOMPOSE._split(other))
+    assert decompose(game) == decompose(other)
+    assert potential_function(game) is not None
+    for oracle in (
+        solve_potential_equation,
+        nonstrategic_component_direct,
+        analysis.check_nonstrategic_defn,
+        analysis.check_pure_harmonic_defn,
+        analysis.check_harmonic_defn,
+    ):
+        assert oracle(game) == oracle(fresh)
+    failed = {name for name, passed in cli._verification_checks(game) if not passed}
+    assert failed == {
+        "decomposition_sums_to_input",
+        "potential_routes_agree",
+        "nonstrategic_direct_agrees",
+    }

@@ -1,29 +1,39 @@
 """Mutation tests: each case swaps one function of the package for a copy
 of its source with one deliberate fault, and asserts that the package's
-cross-checks catch it.  A fifth fault, the pure harmonic block swap, is
-pinned in test_cli.py (test_verify_pins_the_harmonic_projections)."""
+cross-checks catch it.  A further fault, the pure harmonic block swap, is
+pinned in test_cli.py (test_verify_pins_the_harmonic_projections).
+
+Every case builds its game after the patch.  A game keeps its split on
+itself the first time it is decomposed, so a game split before the patch
+would serve that split and never run the mutant."""
 
 import importlib
 import inspect
 import json
 import random
+import textwrap
+from fractions import Fraction
 
 import pytest
 
 from _helpers import random_game
-from gamedecomp import projectors
+from gamedecomp import matrix, projectors
 from gamedecomp.cli import main
-from gamedecomp.games import GameSpace, serialize_game
+from gamedecomp.games import Game, GameSpace, serialize_game
 from gamedecomp.projectors import PART_KINDS, build_projectors
 
 
 def mutated(module, name, old, new):
-    """A copy of module.name whose source reads new where it reads old, once."""
-    source = inspect.getsource(getattr(module, name))
+    """A copy of module.name, or of a method named "Class.method", whose source
+    reads new where it reads old, once."""
+    target = module
+    for part in name.split("."):
+        target = getattr(target, part)
+    source = textwrap.dedent(inspect.getsource(target))
     assert source.count(old) == 1, f"{name} no longer reads {old!r} once"
     namespace = dict(vars(module))
     exec(compile(source.replace(old, new), inspect.getsourcefile(module), "exec"), namespace)
-    return namespace[name]
+    return namespace[name.rpartition(".")[2]]
 
 
 def game_on(counts):
@@ -86,17 +96,78 @@ DENSE_MUTANTS = [
 ]
 
 
+def verify_failures(tmp_path, capsys, game):
+    """verify's exit code and the names of its failed checks on game."""
+    path = tmp_path / "game.json"
+    path.write_text(serialize_game(game), encoding="utf-8")
+    code = main(["verify", str(path)])
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    return code, {check["name"] for check in checks if not check["passed"]}
+
+
 @pytest.mark.parametrize("name, old, new, counts, failed", DENSE_MUTANTS)
 def test_verify_catches_the_dense_mutant(
     tmp_path, capsys, monkeypatch, name, old, new, counts, failed
 ):
     monkeypatch.setattr(projectors, name, mutated(projectors, name, old, new))
-    path = tmp_path / "game.json"
-    path.write_text(serialize_game(game_on(counts)), encoding="utf-8")
-    code = main(["verify", str(path)])
-    checks = json.loads(capsys.readouterr().out)["checks"]
-    assert code == 1
-    assert {check["name"] for check in checks if not check["passed"]} == failed
+    assert verify_failures(tmp_path, capsys, game_on(counts)) == (1, failed)
+
+
+# the exact integer kernels: the product loop, and the line means behind
+# every M_i, whose faults show only where a line mixes denominators
+KERNEL_MUTANTS = [
+    pytest.param(
+        matrix,
+        "Matrix.__matmul__",
+        "terms = [j for j, x in enumerate(row) if x]",
+        "terms = [j for j, x in enumerate(row) if x][:-1]",
+        (2,),
+        {
+            "projections_idempotent",
+            "pseudoinverse_oracles_match",
+            "components_lie_in_their_subspaces",
+        },
+        id="product-drops-last-term",
+    ),
+    pytest.param(
+        matrix,
+        "Matrix.__matmul__",
+        "values = [row[j] for j in terms]",
+        "values = [row[j] for j in terms] * (len(terms) > 1)",
+        (2,),
+        {"projections_idempotent", "pseudoinverse_oracles_match"},
+        id="product-one-term-rows-zero",
+    ),
+    pytest.param(
+        projectors,
+        "axis_means",
+        "math.lcm(*{x.denominator for x in values})",
+        "values[0].denominator",
+        (2, 2),
+        {"components_lie_in_their_subspaces", "nonstrategic_direct_agrees"},
+        id="line-mean-first-denominator",
+    ),
+    pytest.param(
+        projectors,
+        "axis_means",
+        "x.numerator * (den // x.denominator)",
+        "x.numerator",
+        (2, 2),
+        {"components_lie_in_their_subspaces", "nonstrategic_direct_agrees"},
+        id="line-mean-no-rescale",
+    ),
+]
+
+
+@pytest.mark.parametrize("module, name, old, new, counts, failed", KERNEL_MUTANTS)
+def test_verify_catches_the_kernel_mutant(
+    tmp_path, capsys, monkeypatch, module, name, old, new, counts, failed
+):
+    monkeypatch.setattr(f"{module.__name__}.{name}", mutated(module, name, old, new))
+    rng = random.Random(7)
+    space = GameSpace(counts)
+    cells = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(space.payoff_cells)]
+    assert verify_failures(tmp_path, capsys, Game.from_vector(space, cells)) == (1, failed)
 
 
 def test_decompose_catches_the_group_inverse_coefficient(monkeypatch):

@@ -450,3 +450,12 @@ def test_row_functions_give_fractions_and_refuse_wrong_rows():
     for call, got, k in refused:
         with pytest.raises(ValueError, match=f"^payoff row has {got} entries, expected {k}$"):
             call()
+    # an entry that is no rational is refused by name and position
+    row = [1, Fraction(1, 2), 1.5, 4]
+    for call in (
+        lambda: average(space, row, 1),
+        lambda: axis_means(space, row, 2),
+        lambda: apply_group_inverse(space, row),
+    ):
+        with pytest.raises(TypeError, match=r"^payoff row entry 2 is float 1\.5, not a rational$"):
+            call()

@@ -13,17 +13,21 @@ from gamedecomp.projectors import build_projectors
 SPACE = GameSpace((2, 1))
 GAME = Game(SPACE, [[1, Fraction(1, 2)], [0, -3]], name="d")
 POTENTIAL = PotentialFunction((Fraction(1), Fraction(-1, 3)), ((Fraction(2),),))
+# a game that holds its split, beside GAME, which is never decomposed
+DECOMPOSED = Game(SPACE, [[2, Fraction(1, 3)], [-1, 0]])
+decompose(DECOMPOSED)
 
 # one instance of each value type, with one of its fields
 VALUES = [
     (SPACE, "strategy_counts"),
     (MixedProfile.uniform(SPACE), "weights"),
     (GAME, "payoff_rows"),
-    (decompose(GAME), "nonstrategic"),
+    (decompose(DECOMPOSED), "nonstrategic"),
     (POTENTIAL, "values"),
     (build_projectors(SPACE), "potential"),
+    (DECOMPOSED, "payoff_rows"),
 ]
-IDS = [type(value).__name__ for value, _ in VALUES]
+IDS = [type(value).__name__ for value, _ in VALUES[:-1]] + ["decomposed-Game"]
 
 
 @pytest.mark.parametrize("value, field", VALUES, ids=IDS)
@@ -44,6 +48,8 @@ def test_copies_and_pickles_are_equal(value, field):
         assert hash(twin) == hash(value)
         assert repr(twin) == repr(value)
         assert getattr(twin, field) == getattr(value, field)
+        if value is DECOMPOSED:
+            assert decompose(twin) == decompose(Game(SPACE, value.payoff_rows))
 
 
 def test_copied_space_keeps_its_derived_data():
