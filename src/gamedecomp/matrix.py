@@ -41,18 +41,6 @@ def _entry(value: object) -> int | Fraction:
     raise TypeError(f"matrix entries must be exact rationals, got {type(value).__name__}")
 
 
-class _Entries(dict):
-    """Entry Fractions by numerator over one denominator, each made once."""
-
-    def __init__(self, den: int):
-        super().__init__({0: _ZERO})
-        self.den = den
-
-    def __missing__(self, numerator: int) -> Fraction:
-        value = self[numerator] = Fraction(numerator, self.den)
-        return value
-
-
 class Matrix:
     """Immutable dense matrix over the rationals: integer rows over one denominator."""
 
@@ -175,11 +163,12 @@ class Matrix:
         return Fraction(x, self._den) if x else _ZERO
 
     def column_tuple(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(map(_Entries(self._den).__getitem__, (row[j] for row in self._num)))
+        den = self._den
+        return tuple([Fraction(row[j], den) if row[j] else _ZERO for row in self._num])
 
     def rows_iter(self) -> Iterator[tuple[Fraction, ...]]:
-        entry = _Entries(self._den).__getitem__
-        return (tuple(map(entry, row)) for row in self._num)
+        den = self._den
+        return (tuple([Fraction(x, den) if x else _ZERO for x in row]) for row in self._num)
 
     # -- algebra -------------------------------------------------------
 

@@ -18,8 +18,14 @@ from _helpers import random_game, rps_game, symmetric_222, symmetric_33
 from gamedecomp import cli, dense, linalg, matrix, projectors
 from gamedecomp.cli import MAX_DENSE_CELLS, main
 from gamedecomp.games import Game, GameSpace, serialize_game
-from gamedecomp.linalg import Matrix
-from gamedecomp.projectors import ProjectorSet, build_B_N, build_B_P, build_projectors
+from gamedecomp.linalg import Matrix, format_rational
+from gamedecomp.projectors import (
+    ProjectorSet,
+    SubspaceKind,
+    build_B_N,
+    build_B_P,
+    build_projectors,
+)
 
 
 def write_game(tmp_path, game, name="game.json"):
@@ -553,6 +559,47 @@ def test_project_writes_these_bytes(capsys):
     assert run_cli(capsys, *argv) == (0, expected, "")
     csv = "\n".join(POTENTIAL_PROJECTION_22) + "\n"
     assert run_cli(capsys, *argv, "--format", "csv") == (0, csv, "")
+
+
+@pytest.mark.parametrize("counts", [(1,), (2, 1, 3), (2, 2, 2), (3, 2)])
+def test_project_labels_are_the_formatted_entries(capsys, counts):
+    # project labels each distinct numerator once; every label must be the
+    # matrix entry itself, read back over the matrix's own denominator
+    space = GameSpace(counts)
+    bundle = build_projectors(space)
+    flag = f"{space.n}:{','.join(map(str, counts))}"
+    nk = space.payoff_cells
+    for kind in SubspaceKind:
+        m = bundle.projection(kind)
+        for digits in (None, 0, 3):
+            rows = [[format_rational(m[i, j], digits) for j in range(nk)] for i in range(nk)]
+            extra = [] if digits is None else ["--decimal", str(digits)]
+            argv = ["project", "--space", flag, "--kind", kind.value, *extra]
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0 and json.loads(out)["rows"] == rows
+            lines = [",".join(map(str, row)) for row in rows]
+            if digits is not None:
+                lines.insert(0, f"# approximate: {digits} decimal digits")
+            assert run_cli(capsys, *argv, "--format", "csv") == (0, "\n".join(lines) + "\n", "")
+
+
+def test_project_exits_1_when_the_sum_identity_fails(capsys, monkeypatch):
+    # the pure harmonic part with one symmetric pair of entries bumped, as
+    # perturbed_bundles in test_projectors.py does
+    real_build = cli.build_projectors
+
+    def bumped(space):
+        bundle = real_build(space)
+        nk = space.payoff_cells
+        cells = {(0, 1), (1, 0)}
+        delta = Matrix([[Fraction(1, 3) * ((r, c) in cells) for c in range(nk)] for r in range(nk)])
+        fields = {name: getattr(bundle, name) for name in ProjectorSet._fields}
+        return ProjectorSet(**{**fields, "pure_harmonic": bundle.pure_harmonic + delta})
+
+    monkeypatch.setattr(cli, "build_projectors", bumped)
+    for kind in ("pure-harmonic", "harmonic"):
+        code, out, err = run_cli(capsys, "project", "--space", "2:2,2", "--kind", kind)
+        assert (code, out, err) == (1, "", "error: projection sum identity failed\n")
 
 
 def test_malformed_file_fails_cleanly(tmp_path, capsys):
