@@ -14,13 +14,14 @@ _split runs once per Game and keeps the parts and phi on it while it lives
 solve_potential_equation and nonstrategic_component_direct.
 Potential functions are extracted two independent ways: phi with its
 offsets (the value u_i - phi takes on each of player i's own-strategy
-lines), and path sums of unilateral payoff changes, which solve the
-deviation-difference system whose consistency characterizes
-potentiality in O(nk) steps.  The two agree up to an additive constant.
+lines), and path sums of unilateral payoff changes on int numerators, one
+O(k) pass, whose O(nk) consistency check on every line characterizes
+potentiality.  The two agree up to an additive constant.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from fractions import Fraction
 
@@ -156,40 +157,39 @@ def solve_potential_equation(game: Game) -> PotentialFunction | None:
 
     Solves the deviation-difference system u_i = phi + E_i xi_i, i =
     1..n, whose consistency characterizes potentiality, with no matrix.
-    phi at a profile sums the payoff changes u_i(before) - u_i(after) as
-    players 1..n in turn reset to strategy 1.  Player i's offset xi_i on
-    one of its own-strategy lines is the value u_i - phi takes on the
-    whole line; a line where it is not constant means the game is not
-    potential.  The solutions differ by a constant added to phi and
-    taken from every offset.  The constant is fixed so that player n's
-    offset on its last line is 0: elimination over the offsets in player
-    order leaves that unknown, and only that one, free, so this is the
-    solution with its free variable zeroed.  It generally differs from
-    potential_function by a constant, not entrywise.
+    phi(s) sums the payoff changes as players 1..n in turn reset to
+    strategy 1: phi(s) = u_j(s) - u_j(s^j) + phi(s^j), with j the first
+    player not at 1 and s^j the start of j's line through s.  One O(k)
+    pass, j = n..1 over j's lines with players 1..j-1 at 1, builds it.
+    xi_i on one of i's lines is the value u_i - phi takes on the whole
+    line; if that is not constant, the game is not potential.  All runs
+    on int numerators over the payoffs' one lcm, and a Fraction is built
+    only for each value and offset returned.  Player n's last offset,
+    the one unknown that elimination in player order leaves free, is
+    zeroed, so phi generally differs from potential_function's by a constant.
     """
     space = game.space
-    rows = game.payoff_rows
-    phi = []
-    for index in range(space.k):
-        value, here = Fraction(0), index
-        for i, row in enumerate(rows, start=1):
-            reset = space.line(i, here).start
-            value += row[here] - row[reset]
-            here = reset
-        phi.append(value)
+    den = math.lcm(*{x.denominator for row in game.payoff_rows for x in row})
+    rows = [[x.numerator * (den // x.denominator) for x in row] for row in game.payoff_rows]
+    lines = [space.lines(j) for j in range(1, space.n + 1)]
+    phi = [0] * space.k
+    for j in range(space.n, 0, -1):
+        row, span = rows[j - 1], space.k_between(j, space.n)
+        for line in lines[j - 1]:
+            if line.stop <= span:
+                base = phi[line.start] - row[line.start]
+                phi[line] = [base + u for u in row[line]]
     offsets = []
-    for i, row in enumerate(rows, start=1):
-        block = []
-        for line in space.lines(i):
-            offset = row[line.start] - phi[line.start]
-            if any(u - p != offset for u, p in zip(row[line], phi[line])):
-                return None
-            block.append(offset)
-        offsets.append(block)
+    for row, own in zip(rows, lines):
+        gaps = [u - p for u, p in zip(row, phi)]
+        block = [gaps[line] for line in own]
+        if any(gap.count(gap[0]) != len(gap) for gap in block):
+            return None
+        offsets.append([gap[0] for gap in block])
     constant = offsets[-1][-1]
     return PotentialFunction(
-        values=tuple(p + constant for p in phi),
-        player_offsets=tuple(tuple(x - constant for x in block) for block in offsets),
+        values=tuple([Fraction(p + constant, den) for p in phi]),
+        player_offsets=tuple(tuple([Fraction(x - constant, den) for x in b]) for b in offsets),
     )
 
 

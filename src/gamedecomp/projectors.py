@@ -272,7 +272,7 @@ def _block_tables(
             for t in parts
         ]
 
-    return {key: table(*key) for row in layout for key in row}, den, layout
+    return {key: table(*key) for key in dict.fromkeys(chain.from_iterable(layout))}, den, layout
 
 
 def part_matrices(space: GameSpace, kind: SubspaceKind) -> list[Matrix]:

@@ -416,15 +416,34 @@ def test_potential_offsets_equal_lift_route(game):
         assert result.player_offsets[i - 1] == block.column_tuple(0)
 
 
+def coprime_wide_game(counts: tuple[int, ...]) -> Game:
+    """A game whose payoff denominators are pairwise coprime and above 2**64:
+    1 + c m! 2**64 for c = 1..m, where two of them share only divisors of
+    their difference, below m, none of which divides either."""
+    space = GameSpace(counts)
+    m = space.payoff_cells
+    step = math.factorial(m) << 64
+    return Game.from_vector(space, [Fraction(c * c - 7, 1 + c * step) for c in range(1, m + 1)])
+
+
 @PROPERTY
 @given(games(max_cells=100))
 @example(padded_game(0))
 @example(padded_game(1))
 @example(padded_game(2))
 @example(Game.from_vector(GameSpace((3,)), [4, -1, 2]))
+@example(Game.from_vector(GameSpace((1,)), [5]))
+@example(random_game(random.Random(3), GameSpace((1, 1, 2, 3))))
+@example(random_game(random.Random(4), GameSpace((3, 1, 2))))
+@example(random_game(random.Random(5), GameSpace((2, 3, 1))))
+@example(coprime_wide_game((2, 3)))
+@example(coprime_wide_game((1, 2, 1, 2)))
+@example(coprime_wide_game((4,)))
 def test_path_sums_equal_dense_potential_solve(game):
     # same verdict, values and offsets, entrywise, on a game and its
-    # potential projection (rarely a potential game, always one)
+    # potential projection (rarely a potential game, always one); the
+    # examples pad with one-strategy players first, in the middle and
+    # last, take one player, and scale the int rows by wide coprime lcms
     potential = Game.from_vector(
         game.space, build_projectors(game.space).potential @ game.structure_vector()
     )

@@ -17,10 +17,10 @@ from fractions import Fraction
 import pytest
 
 from _helpers import random_game
-from gamedecomp import matrix, projectors
+from gamedecomp import cli, linalg, matrix, projectors
 from gamedecomp.cli import main
 from gamedecomp.games import Game, GameSpace, serialize_game
-from gamedecomp.projectors import PART_KINDS, build_projectors
+from gamedecomp.projectors import PART_KINDS, SubspaceKind, build_projectors
 
 
 def mutated(module, name, old, new):
@@ -34,6 +34,10 @@ def mutated(module, name, old, new):
     namespace = dict(vars(module))
     exec(compile(source.replace(old, new), inspect.getsourcefile(module), "exec"), namespace)
     return namespace[name.rpartition(".")[2]]
+
+
+# the package exports the function decompose under the module's name
+decompose = importlib.import_module("gamedecomp.decompose")
 
 
 def game_on(counts):
@@ -113,8 +117,11 @@ def test_verify_catches_the_dense_mutant(
     assert verify_failures(tmp_path, capsys, game_on(counts)) == (1, failed)
 
 
-# the exact integer kernels: the product loop, and the line means behind
-# every M_i, whose faults show only where a line mixes denominators
+# the exact integer kernels: the product loop, the line means behind
+# every M_i, whose faults show only where a line mixes denominators, and
+# the path sums, whose faults show only on a potential game (True below:
+# verify then runs on the game's potential projection), where the offset
+# check runs to the end
 KERNEL_MUTANTS = [
     pytest.param(
         matrix,
@@ -122,6 +129,7 @@ KERNEL_MUTANTS = [
         "terms = [j for j, x in enumerate(row) if x]",
         "terms = [j for j, x in enumerate(row) if x][:-1]",
         (2,),
+        False,
         {
             "projections_idempotent",
             "pseudoinverse_oracles_match",
@@ -135,6 +143,7 @@ KERNEL_MUTANTS = [
         "values = [row[j] for j in terms]",
         "values = [row[j] for j in terms] * (len(terms) > 1)",
         (2,),
+        False,
         {"projections_idempotent", "pseudoinverse_oracles_match"},
         id="product-one-term-rows-zero",
     ),
@@ -144,6 +153,7 @@ KERNEL_MUTANTS = [
         "math.lcm(*{x.denominator for x in values})",
         "values[0].denominator",
         (2, 2),
+        False,
         {"components_lie_in_their_subspaces", "nonstrategic_direct_agrees"},
         id="line-mean-first-denominator",
     ),
@@ -153,33 +163,73 @@ KERNEL_MUTANTS = [
         "x.numerator * (den // x.denominator)",
         "x.numerator",
         (2, 2),
+        False,
         {"components_lie_in_their_subspaces", "nonstrategic_direct_agrees"},
         id="line-mean-no-rescale",
+    ),
+    pytest.param(
+        decompose,
+        "solve_potential_equation",
+        "x.numerator * (den // x.denominator)",
+        "x.numerator",
+        (2, 2),
+        True,
+        {"potential_routes_agree"},
+        id="path-sums-no-rescale",
+    ),
+    pytest.param(
+        decompose,
+        "solve_potential_equation",
+        "phi[line.start] - row[line.start]",
+        "phi[line.start + 1] - row[line.start + 1]",
+        (2, 2),
+        True,
+        {"potential_routes_agree"},
+        id="path-sums-wrong-base",
     ),
 ]
 
 
-@pytest.mark.parametrize("module, name, old, new, counts, failed", KERNEL_MUTANTS)
+@pytest.mark.parametrize("module, name, old, new, counts, potential, failed", KERNEL_MUTANTS)
 def test_verify_catches_the_kernel_mutant(
-    tmp_path, capsys, monkeypatch, module, name, old, new, counts, failed
+    tmp_path, capsys, monkeypatch, module, name, old, new, counts, potential, failed
 ):
-    monkeypatch.setattr(f"{module.__name__}.{name}", mutated(module, name, old, new))
+    mutant = mutated(module, name, old, new)
+    owner, _, attr = name.rpartition(".")
+    monkeypatch.setattr(getattr(module, owner) if owner else module, attr, mutant)
+    if module is decompose:
+        # the CLI binds the path-sum solve by name
+        monkeypatch.setattr(cli, name, mutant)
     rng = random.Random(7)
     space = GameSpace(counts)
     cells = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(space.payoff_cells)]
-    assert verify_failures(tmp_path, capsys, Game.from_vector(space, cells)) == (1, failed)
+    game = Game.from_vector(space, cells)
+    if potential:
+        game = decompose.decompose(game).projection(SubspaceKind.POTENTIAL)
+    assert verify_failures(tmp_path, capsys, game) == (1, failed)
+
+
+def test_the_hook_refuses_what_names_the_wrong_module(monkeypatch):
+    # a hook whose module tuple names games for matrix refuses Matrix, which
+    # the acceptance tests import from linalg, and serves GameSpace, a name
+    # dense only imports
+    mutant = mutated(linalg, "_dense_name", '"gamedecomp.matrix")', '"gamedecomp.games")')
+    monkeypatch.setattr(linalg, "_dense_name", mutant)
+    refusal = "^module 'gamedecomp.linalg' has no attribute 'Matrix'$"
+    with pytest.raises(AttributeError, match=refusal):
+        linalg.Matrix
+    assert linalg.GameSpace is GameSpace
 
 
 def test_decompose_catches_the_group_inverse_coefficient(monkeypatch):
     # the matrix-free X divides grade |T| by |T|; dividing by |T| - 1
     # changes phi, and so the pure potential and pure harmonic parts,
     # from grade 2 on, while the dense bundle keeps the true coefficient
-    module = importlib.import_module("gamedecomp.decompose")
     mutant = mutated(projectors, "apply_group_inverse", "x / c", "x / max(1, c - 1)")
-    monkeypatch.setattr(module, "apply_group_inverse", mutant)
+    monkeypatch.setattr(decompose, "apply_group_inverse", mutant)
     game = game_on((2, 2))
     bundle = build_projectors(game.space)
-    parts = module.decompose(game)
+    parts = decompose.decompose(game)
     u = game.structure_vector()
     agree = [
         parts.projection(kind).structure_vector() == bundle.projection(kind) @ u
