@@ -9,7 +9,7 @@ anywhere), classifies games against the five canonical subspaces, and
 extracts potential functions of potential games.
 """
 
-from gamedecomp.games import Game, GameSpace, MixedProfile, parse_game, serialize_game
+from gamedecomp.games import Game, GameSpace, parse_game, serialize_game
 from gamedecomp.projectors import ProjectorSet, SubspaceKind, build_projectors
 from gamedecomp.decompose import (
     Decomposition,
@@ -26,7 +26,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Game",
     "GameSpace",
-    "MixedProfile",
     "parse_game",
     "serialize_game",
     "ProjectorSet",

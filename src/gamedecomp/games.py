@@ -194,12 +194,6 @@ class GameSpace(_Value):
             raise ValueError(f"player {_shown(player)} is not an integer in 1..{self.n}")
         return player
 
-    def _check_index(self, index: int, first: int) -> None:
-        """Refuse, as check_player does, a profile index outside first..first + k - 1."""
-        last = first + self.k - 1
-        if type(index) is not int or not first <= index <= last:
-            raise ValueError(f"profile index {_shown(index)} is not an integer in {first}..{last}")
-
     def profile_index(self, profile: Sequence[int]) -> int:
         """1-based position of a profile in index order.
 
@@ -209,16 +203,6 @@ class GameSpace(_Value):
         """
         s = self.check_profile(profile)
         return 1 + sum((choice - 1) * stride for choice, stride in zip(s, self._strides))
-
-    def index_profile(self, index: int) -> tuple[int, ...]:
-        """Inverse of profile_index."""
-        self._check_index(index, 1)
-        rem = index - 1
-        digits = []
-        for stride in self._strides:
-            digits.append(rem // stride + 1)
-            rem %= stride
-        return tuple(digits)
 
     def lines(self, player: int) -> list[slice]:
         """Player's own-strategy lines, as slices over 0-based profile indices.
@@ -237,7 +221,8 @@ class GameSpace(_Value):
 
     def line(self, player: int, index: int) -> slice:
         """The own-strategy line of player through the profile at 0-based index."""
-        self._check_index(index, 0)
+        if type(index) is not int or not 0 <= index < self.k:
+            raise ValueError(f"profile index {_shown(index)} is not an integer in 0..{self.k - 1}")
         stride, block = self._axis(player)
         start = index - index % block
         return slice(start + index % stride, start + block, stride)
@@ -246,41 +231,6 @@ class GameSpace(_Value):
         """Index stride of player's choice, and the span of one sweep of it."""
         stride = self._strides[self.check_player(player) - 1]
         return stride, stride * self.strategy_counts[player - 1]
-
-
-class MixedProfile(_Value):
-    """One probability vector per player; entries >= 0 summing to 1."""
-
-    _fields = ("weights",)
-
-    def __init__(self, weights: Sequence[Sequence[object]]) -> None:
-        weights = tuple(tuple(as_rational(w) for w in row) for row in weights)
-        object.__setattr__(self, "weights", weights)
-        if not weights:
-            raise ValueError("a mixed profile needs at least one player")
-        for i, row in enumerate(weights, start=1):
-            if any(w < 0 for w in row):
-                raise ValueError(f"player {i} has a negative weight")
-            if (total := sum(row)) != 1:
-                try:
-                    total = format_rational(total)
-                except ResultTooLongError as exc:
-                    raise ValueError(f"player {i} weights do not sum to 1: {exc}") from None
-                raise ValueError(f"player {i} weights sum to {total}, not 1")
-
-    @classmethod
-    def uniform(cls, space: GameSpace) -> "MixedProfile":
-        return cls(tuple(tuple([Fraction(1, c)] * c) for c in space.strategy_counts))
-
-    @classmethod
-    def pure(cls, space: GameSpace, profile: Sequence[int]) -> "MixedProfile":
-        s = space.check_profile(profile)
-        return cls(
-            tuple(
-                tuple(Fraction(int(j == choice)) for j in range(1, c + 1))
-                for choice, c in zip(s, space.strategy_counts)
-            )
-        )
 
 
 class Game(_Value):
@@ -299,7 +249,14 @@ class Game(_Value):
     ) -> None:
         if not isinstance(space, GameSpace):
             raise TypeError(f"a game's space must be a GameSpace, got {type(space).__name__}")
-        rows = tuple(tuple(as_rational(x) for x in row) for row in payoff_rows)
+        if name is not None and not isinstance(name, str):
+            raise TypeError(f"a game's name must be a str or None, got {type(name).__name__}")
+        # a str or bytes row would be read one character or byte at a time
+        raw = tuple(payoff_rows)
+        for i, row in enumerate(raw, start=1):
+            if isinstance(row, (str, bytes)):
+                raise TypeError(f"player {i} payoff row is a {type(row).__name__}, not a sequence")
+        rows = tuple(tuple(as_rational(x) for x in row) for row in raw)
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "payoff_rows", rows)
         object.__setattr__(self, "name", name)
@@ -340,29 +297,6 @@ class Game(_Value):
         from gamedecomp.matrix import Matrix
 
         return Matrix.column([x for row in self.payoff_rows for x in row])
-
-    def payoff(self, player: int, profile: Sequence[int]) -> Fraction:
-        """Player's payoff at a pure profile (both 1-based)."""
-        row = self.payoff_rows[self.space.check_player(player) - 1]
-        return row[self.space.profile_index(profile) - 1]
-
-    def expected_payoff(self, player: int, mixed: MixedProfile) -> Fraction:
-        """Expected payoff under independent mixing, computed exactly."""
-        if len(mixed.weights) != self.space.n:
-            raise ValueError("mixed profile does not match the space")
-        for row, count in zip(mixed.weights, self.space.strategy_counts):
-            if len(row) != count:
-                raise ValueError("mixed profile does not match the space")
-        total = Fraction(0)
-        row = self.payoff_rows[self.space.check_player(player) - 1]
-        for idx, profile in enumerate(self.space.profiles()):
-            weight = math.prod(
-                (mixed.weights[i][choice - 1] for i, choice in enumerate(profile)),
-                start=Fraction(1),
-            )
-            if weight:
-                total += weight * row[idx]
-        return total
 
     def _combine(self, other: "Game", sign: int) -> "Game":
         if not isinstance(other, Game):

@@ -2,7 +2,7 @@
 reference games, naive Fraction-based product, entrywise, stacking,
 elimination and back-substitution oracles kept independent of the
 package's integer kernels, and brute-force Nash and potential checks
-that enumerate deviations through profile_index and expected_payoff,
+that enumerate deviations and read payoffs through profile_index,
 independent of GameSpace.lines, the dense Bareiss solve of the
 potential equation that its path-sum route is pinned to, and the dense
 rank that the closed-form harmonic Nash kernel dimension is pinned to."""
@@ -18,7 +18,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from gamedecomp.decompose import PotentialFunction
-from gamedecomp.games import Game, GameSpace, MixedProfile
+from gamedecomp.games import Game, GameSpace
 from gamedecomp.linalg import Matrix, block_diag, hstack, rank, solve_linear, vstack
 from gamedecomp.projectors import build_E
 
@@ -208,13 +208,30 @@ def _deviations(space: GameSpace, profile: tuple[int, ...], player: int):
         yield profile[: player - 1] + (choice,) + profile[player:]
 
 
+def payoff(game: Game, player: int, profile: Sequence[int]) -> Fraction:
+    """Player's payoff at a pure profile (both 1-based)."""
+    return game.payoff_rows[player - 1][game.space.profile_index(profile) - 1]
+
+
+def expected_payoff(game: Game, player: int, weights: Sequence[Sequence[Fraction]]) -> Fraction:
+    """Player's expected payoff when each player j mixes by weights[j - 1] independently."""
+    return sum(
+        (
+            math.prod((row[c - 1] for row, c in zip(weights, s)), start=Fraction(1))
+            * payoff(game, player, s)
+            for s in game.space.profiles()
+        ),
+        Fraction(0),
+    )
+
+
 def brute_pure_nash(game: Game) -> list[tuple[int, ...]]:
     space = game.space
     return [
         s
         for s in space.profiles()
         if all(
-            game.payoff(i, varied) <= game.payoff(i, s)
+            payoff(game, i, varied) <= payoff(game, i, s)
             for i in range(1, space.n + 1)
             for varied in _deviations(space, s, i)
         )
@@ -222,13 +239,13 @@ def brute_pure_nash(game: Game) -> list[tuple[int, ...]]:
 
 
 def brute_uniform_mixed_nash(game: Game) -> bool:
-    uniform = MixedProfile.uniform(game.space)
+    uniform = [tuple([Fraction(1, c)] * c) for c in game.space.strategy_counts]
     for i, count in enumerate(game.space.strategy_counts, start=1):
-        base = game.expected_payoff(i, uniform)
+        base = expected_payoff(game, i, uniform)
         for choice in range(1, count + 1):
-            weights = list(uniform.weights)
+            weights = list(uniform)
             weights[i - 1] = tuple(Fraction(int(j == choice)) for j in range(1, count + 1))
-            if game.expected_payoff(i, MixedProfile(tuple(weights))) > base:
+            if expected_payoff(game, i, weights) > base:
                 return False
     return True
 
@@ -240,7 +257,7 @@ def brute_potential_defn(game: Game, values) -> bool:
         return values[space.profile_index(profile) - 1]
 
     return all(
-        game.payoff(i, varied) - game.payoff(i, s) == phi(varied) - phi(s)
+        payoff(game, i, varied) - payoff(game, i, s) == phi(varied) - phi(s)
         for s in space.profiles()
         for i in range(1, space.n + 1)
         for varied in _deviations(space, s, i)

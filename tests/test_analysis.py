@@ -14,6 +14,7 @@ from _helpers import (
     brute_uniform_mixed_nash,
     dense_harmonic_nash_kernel_dim,
     games,
+    payoff,
     random_game,
     rps_game,
     spaces,
@@ -153,7 +154,7 @@ def test_pure_nash_of_potential_game_nonempty():
         for choice in range(1, 3):
             varied = list(s)
             varied[i - 1] = choice
-            assert game.payoff(i, varied) <= game.payoff(i, s)
+            assert payoff(game, i, varied) <= payoff(game, i, s)
 
 
 def test_uniform_mixed_check_on_harmonic_samples():
@@ -234,7 +235,7 @@ def test_kernel_dim_below_harmonic_dimension():
 @example(GameSpace((2, 2) + (1,) * 6), 3)
 @example(GameSpace((2,) * 5), 21)
 def test_kernel_dim_closed_form_equals_dense_rank(space, seed):
-    profile = space.index_profile(1 + seed % space.k)
+    profile = list(space.profiles())[seed % space.k]
     dim = harmonic_nash_kernel_dim(space, profile)
     assert dim == dense_harmonic_nash_kernel_dim(space, profile)
 

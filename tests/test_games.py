@@ -1,4 +1,4 @@
-"""Game spaces, profile indexing, payoffs, mixed profiles, file format."""
+"""Game spaces, profile indexing, payoff rows, file format."""
 
 import random
 import tracemalloc
@@ -8,13 +8,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from _helpers import PROPERTY, random_game, rps_game, spaces
+from _helpers import PROPERTY, expected_payoff, payoff, random_game, rps_game, spaces
 from gamedecomp.games import (
     Game,
     GameFormatError,
     GameSpace,
     MalformedDocumentError,
-    MixedProfile,
     PayoffCountError,
     SpaceCapError,
     as_rational,
@@ -92,10 +91,9 @@ def test_profile_index_agrees_with_basis_column_products():
 def test_profile_index_bijection():
     for counts in [(2, 2), (2, 3), (2, 2, 2), (5,), (2, 1, 3)]:
         space = GameSpace(counts)
-        seen = [space.profile_index(s) for s in space.profiles()]
-        assert seen == list(range(1, space.k + 1))
-        for s in space.profiles():
-            assert space.index_profile(space.profile_index(s)) == s
+        indexed = list(enumerate(space.profiles(), start=1))
+        assert len({s for _, s in indexed}) == space.k
+        assert all(space.profile_index(s) == index for index, s in indexed)
 
 
 def test_profile_bounds_checked():
@@ -104,10 +102,6 @@ def test_profile_bounds_checked():
         space.profile_index((3, 1))
     with pytest.raises(ValueError):
         space.profile_index((1,))
-    with pytest.raises(ValueError):
-        space.index_profile(0)
-    with pytest.raises(ValueError):
-        space.index_profile(7)
 
 
 def test_profile_entries_must_be_integers():
@@ -116,25 +110,17 @@ def test_profile_entries_must_be_integers():
     for profile in [(1, 1.5), (True, 2), (1, 2.0), (Fraction(1), 1)]:
         with pytest.raises(ValueError, match="is not an integer"):
             space.profile_index(profile)
-    with pytest.raises(ValueError, match="is not an integer"):
-        MixedProfile.pure(space, (1, False))
 
 
 def test_player_numbers_and_profile_indices_must_be_integers():
-    # a float or bool came back as a float profile or slice, or as player 1,
-    # and expected_payoff read player 0 as the last player
+    # a float or bool came back as a float slice, or as player 1
     space = GameSpace((2, 3))
-    game = Game.zero(space)
     refused = [
-        lambda: space.index_profile(1.5),
-        lambda: space.index_profile(True),
         lambda: space.line(1, 2.5),
         lambda: space.line(1, 6),
         lambda: space.line(True, 0),
         lambda: space.lines(True),
         lambda: space.lines(2.0),
-        lambda: game.payoff(True, (1, 1)),
-        lambda: game.expected_payoff(0, MixedProfile.uniform(space)),
         lambda: build_E(space, True),
     ]
     for call in refused:
@@ -157,7 +143,6 @@ def test_refusals_write_huge_ints_as_bounds():
         lambda: space.check_profile((huge, 1)),
         lambda: space.check_profile((huge,)),
         lambda: space.check_player(-huge),
-        lambda: space.index_profile(huge),
         lambda: space.line(1, huge),
     ]
     for call in refused:
@@ -168,12 +153,10 @@ def test_refusals_write_huge_ints_as_bounds():
 
 def test_payoff_lookup():
     zero = Game.zero(GameSpace((2, 2)))
-    assert all(zero.payoff(i, s) == 0 for i in (1, 2) for s in zero.space.profiles())
+    assert all(payoff(zero, i, s) == 0 for i in (1, 2) for s in zero.space.profiles())
     rps = rps_game()
-    assert rps.payoff(1, (1, 3)) == 1  # rock beats scissors
-    assert rps.payoff(2, (1, 3)) == -1
-    with pytest.raises(ValueError):
-        rps.payoff(3, (1, 1))
+    assert payoff(rps, 1, (1, 3)) == 1  # rock beats scissors
+    assert payoff(rps, 2, (1, 3)) == -1
 
 
 def test_payoff_matches_stp_route():
@@ -190,7 +173,7 @@ def test_payoff_matches_stp_route():
             for c, choice in zip(counts, s):
                 value = stp(value, Matrix.basis_column(c, choice))
             assert value.shape == (1, 1)
-            assert value[0, 0] == game.payoff(i, s)
+            assert value[0, 0] == game.payoff_rows[i - 1][space.profile_index(s) - 1]
 
 
 def test_structure_vector_concatenates_rows():
@@ -207,6 +190,10 @@ def test_game_row_validation():
         Game(space, ((1, 2, 3), (4, 5, 6)))
     with pytest.raises(PayoffCountError):
         Game.from_vector(space, [1, 2, 3])
+    # a str or bytes row would be read one character or byte at a time
+    for row in ("1234", b"1234"):
+        with pytest.raises(TypeError, match=f"player 2 payoff row is a {type(row).__name__}"):
+            Game(space, ((1, 2, 3, 4), row))
 
 
 def test_game_addition_and_equality():
@@ -225,13 +212,14 @@ def test_game_addition_and_equality():
 @given(spaces())
 def test_lines_hold_the_own_strategy_variants(space):
     profiles = range(space.k)
+    listed = list(space.profiles())
     for i, count in enumerate(space.strategy_counts, start=1):
         lines = space.lines(i)
         members = [list(profiles[line]) for line in lines]
         assert sorted(p for line in members for p in line) == list(profiles)
         assert [line[0] for line in members] == sorted(line[0] for line in members)
         for line, indices in zip(lines, members):
-            first = space.index_profile(indices[0] + 1)
+            first = listed[indices[0]]
             assert first[i - 1] == 1
             variants = [first[: i - 1] + (c,) + first[i:] for c in range(1, count + 1)]
             assert indices == [space.profile_index(v) - 1 for v in variants]
@@ -241,55 +229,33 @@ def test_lines_hold_the_own_strategy_variants(space):
             space.lines(player)
 
 
-def test_mixed_profile_validation():
-    space = GameSpace((2, 3))
-    uniform = MixedProfile.uniform(space)
-    assert uniform.weights[1] == (Fraction(1, 3),) * 3
-    with pytest.raises(ValueError, match=r"^player 1 weights sum to 5/6, not 1$"):
-        MixedProfile(((Fraction(1, 2), Fraction(1, 3)),))
-    with pytest.raises(ValueError):
-        MixedProfile(((Fraction(3, 2), Fraction(-1, 2)),))
-    # a sum too long to print is not quoted: that raised CPython's own
-    # 4300-digit ValueError in place of the refusal
-    for weights in [((10**5000,), (1,)), ((Fraction(1, 10**5000), 1), (1, 0))]:
-        with pytest.raises(ValueError, match=r"^player 1 weights do not sum to 1: .*too long"):
-            MixedProfile(weights)
-    pure = MixedProfile.pure(space, (2, 3))
-    assert pure.weights == ((0, 1), (0, 0, 1))
-
-
 def test_expected_payoff_at_pure_profile():
     rng = random.Random(422)
     space = GameSpace((2, 3))
     game = random_game(rng, space)
     for s in space.profiles():
-        degenerate = MixedProfile.pure(space, s)
+        degenerate = [
+            [Fraction(int(j == choice)) for j in range(1, count + 1)]
+            for choice, count in zip(s, space.strategy_counts)
+        ]
         for i in (1, 2):
-            assert game.expected_payoff(i, degenerate) == game.payoff(i, s)
+            assert expected_payoff(game, i, degenerate) == payoff(game, i, s)
 
 
 def test_expected_payoff_uniform_rps():
     rps = rps_game()
-    uniform = MixedProfile.uniform(rps.space)
+    uniform = [[Fraction(1, 3)] * 3] * 2
     # brute force over the nine profiles
     for i in (1, 2):
-        total = sum(
-            (rps.payoff(i, s) for s in rps.space.profiles()), Fraction(0)
-        )
-        assert rps.expected_payoff(i, uniform) == total / 9
-        assert rps.expected_payoff(i, uniform) == 0
+        total = sum((payoff(rps, i, s) for s in rps.space.profiles()), Fraction(0))
+        assert expected_payoff(rps, i, uniform) == total / 9
+        assert expected_payoff(rps, i, uniform) == 0
 
 
 def test_expected_payoff_zero_game():
     space = GameSpace((2, 2, 2))
     zero = Game.zero(space)
-    assert zero.expected_payoff(2, MixedProfile.uniform(space)) == 0
-
-
-def test_expected_payoff_profile_shape_checked():
-    game = Game.zero(GameSpace((2, 2)))
-    with pytest.raises(ValueError):
-        game.expected_payoff(1, MixedProfile.uniform(GameSpace((3, 3))))
+    assert expected_payoff(zero, 2, [[Fraction(1, 2)] * 2] * 3) == 0
 
 
 # -- file format ---------------------------------------------------------
@@ -303,6 +269,18 @@ def test_round_trip_rps():
     assert back == named
     assert back.name == "rps"
     assert parse_game(serialize_game(back)) == back
+
+
+def test_game_name_must_be_a_string():
+    # serialize_game writes the name as given, and parse_game refuses a
+    # document whose name is not a string
+    space = GameSpace((2,))
+    for name in (5, ["rps"], b"rps"):
+        with pytest.raises(TypeError, match="name must be a str or None"):
+            Game(space, ((1, 2),), name=name)
+    for name in ("", "ünïcode \"quoted\"\n"):
+        game = Game(space, ((1, 2),), name=name)
+        assert parse_game(serialize_game(game)).name == name
 
 
 def test_serialize_emits_integers_and_fraction_strings():

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from gamedecomp.decompose import PotentialFunction, decompose
-from gamedecomp.games import Game, GameSpace, MixedProfile
+from gamedecomp.games import Game, GameSpace
 from gamedecomp.projectors import build_projectors
 
 SPACE = GameSpace((2, 1))
@@ -20,7 +20,6 @@ decompose(DECOMPOSED)
 # one instance of each value type, with one of its fields
 VALUES = [
     (SPACE, "strategy_counts"),
-    (MixedProfile.uniform(SPACE), "weights"),
     (GAME, "payoff_rows"),
     (decompose(DECOMPOSED), "nonstrategic"),
     (POTENTIAL, "values"),
@@ -56,7 +55,7 @@ def test_copied_space_keeps_its_derived_data():
     space = pickle.loads(pickle.dumps(GameSpace((2, 3, 2))))
     assert space.k == 12
     assert space.profile_index((2, 3, 1)) == 11
-    assert copy.deepcopy(space).index_profile(11) == (2, 3, 1)
+    assert copy.deepcopy(space).profile_index((1, 2, 2)) == 4
 
 
 def test_equality_is_within_one_type():
