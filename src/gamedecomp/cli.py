@@ -62,12 +62,12 @@ TABLE_COMMANDS = ("project", "potential")
 # 10**digits is built for every rendered value, and CPython will not
 # print an integer of more than 4300 digits
 MAX_DECIMAL_DIGITS = 1000
-# project and verify build dense nk x nk matrices.  verify certifies the
-# potential and nonstrategic projections against B_P and B_N (P_N's follows
-# with the sum identity); one child takes 0.11 s of CPU at 81 cells, 0.22 s
-# at 192, 0.66 s at 324, 1.38 s at 384 and 1.70 s (31 MB) at 512 (2-vCPU
-# machine, Python 3.11); project takes 0.30 s (48 MB) at 512 cells and its
-# output runs to megabytes
+# project and verify build dense nk x nk matrices.  verify certifies the potential
+# and nonstrategic projections by witness products with B_P and B_N (P_N's follows
+# with the sum identity); one child takes 0.11 s of CPU at 81 cells, 0.2 s at 192,
+# 0.4 s at 324, 0.6 s at 384, 0.8 s (32 MB) at 512 ([16,16]) and 2.3-3.2 s (49 MB)
+# at 512 one-strategy players (2-vCPU machine, Python 3.11); project takes 0.30 s
+# (48 MB) at 512 cells and its output runs to megabytes
 DENSE_COMMANDS = ("project", "verify")
 MAX_DENSE_CELLS = 512
 
@@ -222,7 +222,7 @@ def _cmd_verify(game: Game, args: argparse.Namespace) -> dict:
 def _verification_checks(game: Game) -> list[tuple[str, bool]]:
     """Every cross-oracle identity the library can test on one game."""
     # imported here, so that the commands that build no matrix do not compile them
-    from gamedecomp.dense import build_B_N, build_B_P, is_range_projector
+    from gamedecomp.dense import build_B_N, build_B_P, is_range_projector, range_witnesses
     from gamedecomp.matrix import Matrix
 
     space = game.space
@@ -236,6 +236,7 @@ def _verification_checks(game: Game) -> list[tuple[str, bool]]:
     part_vectors = {kind: parts_g.projection(kind).structure_vector() for kind in PART_KINDS}
     agreement = _classification(game)["checks_agree_with_memberships"]
     solved = solve_potential_equation(game)
+    w_p, w_n = range_witnesses(space)
     return [
         (
             "projections_symmetric",
@@ -261,8 +262,8 @@ def _verification_checks(game: Game) -> list[tuple[str, bool]]:
         # with the sum identity, pure harmonic = I - potential and harmonic = I - pure potential
         (
             "pseudoinverse_oracles_match",
-            is_range_projector(bundle.potential, build_B_P(space))
-            and is_range_projector(bundle.nonstrategic, build_B_N(space))
+            is_range_projector(bundle.potential, build_B_P(space), w_p)
+            and is_range_projector(bundle.nonstrategic, build_B_N(space), w_n)
             and sums_to_identity,
         ),
         ("decomposition_sums_to_input", parts_g.total() == game),

@@ -9,17 +9,18 @@ determinant times the solution, which is integral, and divides by the
 determinant once, as the result's denominator.  Group inverses come from
 the defining equation A@A@X = A, and the Moore-Penrose inverse is the
 group inverse of A.T@A times A.T, the paper's route through group
-inverses.  is_range_projector certifies a projection against a generator
-without forming an inverse.  The module also provides the Kronecker and
-semitensor products.
+inverses.  is_range_projector certifies a projector by symmetry and two
+products, with no inverse or rank.  The module also provides the
+Kronecker and semitensor products.
 
 The Kronecker-built E_i and e_i, and B_N and B_P, the generators `verify`
 certifies the nonstrategic and potential projections against, index
-profiles on their own.  P_N stays for the oracles and tests: its
-certificate follows from those two and the sum identity.  The last
-section keeps the M_S basis, sum_S c_S M_S with M_S = prod_{i in S} M_i,
-only for the two oracle routes to X of acceptance criterion 2, which
-write the dense X with the bundle's own writer.
+profiles on their own, and range_witnesses writes their witnesses.  P_N
+stays for the oracles and tests: its certificate follows from those two
+and the sum identity.  The last section keeps the M_S basis, sum_S c_S M_S
+with M_S = prod_{i in S} M_i, only for the two oracle routes to X of
+acceptance criterion 2, which write the dense X with the bundle's own
+writer.
 """
 
 from __future__ import annotations
@@ -183,17 +184,14 @@ def solve_linear(a: Matrix, b: Matrix) -> Matrix | None:
     return Matrix._reduced(tuple(map(tuple, y)), det)
 
 
-def is_range_projector(p: Matrix, b: Matrix) -> bool:
+def is_range_projector(p: Matrix, b: Matrix, w: Matrix) -> bool:
     """Whether p is the orthogonal projector onto b's column space, exactly.
 
-    If p is symmetric and b.T @ p == b.T, 1 is an eigenvalue of p at least
-    rank(b) times, so ||p||_F^2, the sum of p's squared eigenvalues, is at
-    most rank(b) iff all the others are 0.  No inverse is formed.
+    w is any witness with b @ w == p: symmetry and b.T @ p == b.T give p @
+    b == b, so range(b) lies in range(p), and p == b @ w gives the converse
+    and p @ p = p @ b @ w = p, for every w.  No inverse or rank is formed.
     """
-    if not p.is_symmetric() or b.T @ p != b.T:
-        return False
-    squares = sum(x * x for row in p.numerators for x in row)
-    return squares <= rank(b) * p.denominator**2
+    return p.is_symmetric() and b.T @ p == b.T and b @ w == p
 
 
 def group_inverse_via_solve(a: Matrix) -> Matrix | None:
@@ -273,6 +271,27 @@ def build_P_N(space: GameSpace) -> Matrix:
     identity = Matrix.identity(space.k)
     counts = enumerate(space.strategy_counts, start=1)
     return vstack([identity - build_e(space, i) * Fraction(1, c) for i, c in counts])
+
+
+def range_witnesses(space: GameSpace) -> tuple[Matrix, Matrix]:
+    """is_range_projector's witnesses W_P and W_N: B_P @ W_P and B_N @ W_N
+    are the potential and nonstrategic projections.
+
+    W_N = diag(E_i.T / k_i).  Phi = X P_N.T is k x nk; its block j, X (I -
+    M_j), is [j in T] / |T| on V_T.  The potential projection maps u to S
+    Phi u + B_N W_N (u - S Phi u), S the stacked identities, and W_N S
+    stacks the E_i.T / k_i, so W_P = [Phi; W_N - W_N S Phi].
+    """
+    counts = enumerate(space.strategy_counts, start=1)
+    lifts = [build_E(space, i).T * Fraction(1, c) for i, c in counts]
+    bits = _player_bits(space)
+    effective, parts = [space.strategy_counts[i - 1] for i in bits], range(1 << len(bits))
+    den = math.lcm(*range(1, len(bits) + 1))
+    layout = [[bits.get(j, 0) for j in range(1, space.n + 1)]]
+    tables = {b: [den // t.bit_count() if t & b else 0 for t in parts] for b in set(layout[0])}
+    phi = _densify_blocks(effective, tables, den, layout, _row_gathers(effective, space.n))
+    w_n = block_diag(lifts)
+    return vstack([phi, w_n - vstack(lifts) @ phi]), w_n
 
 
 # -- the M_S basis: oracle routes to X (acceptance criterion 2) ---------

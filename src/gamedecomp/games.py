@@ -251,10 +251,10 @@ class Game(_Value):
             raise TypeError(f"a game's space must be a GameSpace, got {type(space).__name__}")
         if name is not None and not isinstance(name, str):
             raise TypeError(f"a game's name must be a str or None, got {type(name).__name__}")
-        # a str or bytes row would be read one character or byte at a time
+        # a str or bytes row reads a character or byte at a time, a set or dict its own order
         raw = tuple(payoff_rows)
         for i, row in enumerate(raw, start=1):
-            if isinstance(row, (str, bytes)):
+            if isinstance(row, (str, bytes)) or not isinstance(row, Sequence):
                 raise TypeError(f"player {i} payoff row is a {type(row).__name__}, not a sequence")
         rows = tuple(tuple(as_rational(x) for x in row) for row in raw)
         object.__setattr__(self, "space", space)

@@ -350,12 +350,14 @@ def test_verify_pins_the_harmonic_projections(tmp_path, capsys, monkeypatch):
 
 
 def test_verify_solves_no_system_and_forms_no_inverse(tmp_path, capsys, monkeypatch):
-    # the bundle is certified against its generators where it stands
+    # the bundle is certified against its generators where it stands, by
+    # witness products, so no elimination runs, not even a rank; the other
+    # commands do not load gamedecomp.dense
     def refuse(*args, **kwargs):
-        raise AssertionError("verify recomputed a projection")
+        raise AssertionError("verify recomputed a projection or eliminated")
 
-    monkeypatch.setattr(dense, "solve_linear", refuse)
-    monkeypatch.setattr(dense, "mp_inverse", refuse)
+    for name in ("solve_linear", "mp_inverse", "rank", "_bareiss_echelon"):
+        monkeypatch.setattr(dense, name, refuse)
     game = random_game(random.Random(463), GameSpace((2, 3, 2)))
     code, out, _ = run_cli(capsys, "verify", write_game(tmp_path, game))
     assert code == 0
@@ -366,13 +368,13 @@ def test_verify_certifies_only_the_potential_and_nonstrategic_projections(
     tmp_path, capsys, monkeypatch
 ):
     # pure potential's certificate against P_N follows from these two and the
-    # sum identity, so verify does not build or rank P_N
+    # sum identity, so verify does not build P_N
     real = dense.is_range_projector
     generators = []
 
-    def recording(p, b):
+    def recording(p, b, w):
         generators.append(b)
-        return real(p, b)
+        return real(p, b, w)
 
     monkeypatch.setattr(dense, "is_range_projector", recording)
     space = GameSpace((2, 3, 2))

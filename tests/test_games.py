@@ -190,8 +190,9 @@ def test_game_row_validation():
         Game(space, ((1, 2, 3), (4, 5, 6)))
     with pytest.raises(PayoffCountError):
         Game.from_vector(space, [1, 2, 3])
-    # a str or bytes row would be read one character or byte at a time
-    for row in ("1234", b"1234"):
+    # a str or bytes row would be read one character or byte at a time, and
+    # a set or dict row in an order of its own: {3, 1, 2} reads as (1, 2, 3)
+    for row in ("1234", b"1234", {4, 1, 3, 2}, dict.fromkeys((4, 1, 3, 2))):
         with pytest.raises(TypeError, match=f"player 2 payoff row is a {type(row).__name__}"):
             Game(space, ((1, 2, 3, 4), row))
 

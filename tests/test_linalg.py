@@ -441,14 +441,18 @@ def test_is_range_projector_accepts_only_the_product_with_mp_inverse(data):
     m, n = data.draw(SIDE), data.draw(SIDE)
     # full-rank draws, or products of narrower factors (the zero matrix included)
     a = data.draw(st.one_of(matrices(m, n), low_rank(m, n)))
-    projector = a @ mp_inverse(a)
-    assert is_range_projector(projector, a)
+    w = mp_inverse(a)
+    projector = a @ w
+    assert is_range_projector(projector, a, w)
+    # any witness works: a @ w @ a == a, so a @ (I - w @ a) @ z is zero
+    other = w + (Matrix.identity(n) - w @ a) @ data.draw(matrices(n, m))
+    assert is_range_projector(projector, a, other)
     # the projector is unique, so any symmetric change to it is refused
     corners = {0, m - 1}
     bump = Matrix(
         [[Fraction(1, 7) if {i, j} == corners else 0 for j in range(m)] for i in range(m)]
     )
-    assert not is_range_projector(projector + bump, a)
+    assert not is_range_projector(projector + bump, a, w)
 
 
 # -- integer-numerator storage against Fraction-entry oracles ---------------

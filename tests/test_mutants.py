@@ -1,7 +1,8 @@
 """Mutation tests: each case swaps one function of the package for a copy
-of its source with one deliberate fault, and asserts that the package's
-cross-checks catch it.  A further fault, the pure harmonic block swap, is
-pinned in test_cli.py (test_verify_pins_the_harmonic_projections).
+of its source with one deliberate fault, or the potential projection for
+a wrong one, and asserts that the package's cross-checks catch it.  A
+further fault, the pure harmonic block swap, is pinned in test_cli.py
+(test_verify_pins_the_harmonic_projections).
 
 Every case builds its game after the patch.  A game keeps its split on
 itself the first time it is decomposed, so a game split before the patch
@@ -207,6 +208,23 @@ def test_verify_catches_the_kernel_mutant(
     if potential:
         game = decompose.decompose(game).projection(SubspaceKind.POTENTIAL)
     assert verify_failures(tmp_path, capsys, game) == (1, failed)
+
+
+# a wrong potential projection that is symmetric and keeps range(B_P)
+# fixed, the identity, is refused only by B_P @ W_P; the pure potential
+# projection leaves range(B_N) out, so B_P.T @ P == B_P.T refuses it too
+@pytest.mark.parametrize(
+    "potential",
+    [
+        pytest.param(lambda ps: matrix.Matrix.identity(ps.space.payoff_cells), id="identity"),
+        pytest.param(lambda ps: ps.pure_potential, id="pure-potential"),
+    ],
+)
+def test_verify_catches_a_wrong_potential_projection(tmp_path, capsys, monkeypatch, potential):
+    # on [2,2] the pure harmonic part is not zero, so the identity is wrong
+    monkeypatch.setattr(projectors.ProjectorSet, "potential", property(potential))
+    failed = verify_failures(tmp_path, capsys, game_on((2, 2)))
+    assert failed == (1, {"pseudoinverse_oracles_match"})
 
 
 def test_the_hook_refuses_what_names_the_wrong_module(monkeypatch):

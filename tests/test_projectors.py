@@ -1,10 +1,11 @@
 """Structural matrices, the group inverse routes, and the projector bundle."""
 
+import functools
 from fractions import Fraction
 from itertools import chain, combinations, permutations
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from _helpers import PROPERTY, spaces
@@ -39,6 +40,7 @@ from gamedecomp.projectors import (
     group_inverse_closed_form,
     group_inverse_solve_route,
     part_matrices,
+    range_witnesses,
     subspace_dimension,
 )
 
@@ -266,20 +268,43 @@ def test_is_range_projector_certifies_the_bundle_against_its_generators(space):
     )
     for build, projector in true.items():
         generator = build(space)
+        w = mp_inverse(generator)
         # a projection onto a larger, smaller or other subspace is refused,
         # unless the two subspaces coincide on this space
         for other in true.values():
-            assert is_range_projector(other, generator) == (other == projector)
-        assert not is_range_projector(projector + bump, generator)
+            assert is_range_projector(other, generator, w) == (other == projector)
+        assert not is_range_projector(projector + bump, generator, w)
+
+
+@PROPERTY
+@given(spaces(max_cells=60))
+@example(GameSpace((2, 2) + (1,) * 30))
+def test_range_witnesses_write_the_potential_and_nonstrategic_projections(space):
+    # verify's witnesses: B_P @ W_P and B_N @ W_N are the bundle's two
+    # projections, whatever the number of one-strategy players
+    bundle = build_projectors(space)
+    w_p, w_n = range_witnesses(space)
+    assert build_B_P(space) @ w_p == bundle.potential
+    assert build_B_N(space) @ w_n == bundle.nonstrategic
+
+
+@functools.cache
+def _mp_witness(b):
+    return mp_inverse(b)
+
+
+def _certified(p, b):
+    """is_range_projector with the Moore-Penrose witness."""
+    return is_range_projector(p, b, _mp_witness(b))
 
 
 def _five_clauses(bundle):
     """The oracle check in full: three certificates and both complements."""
     space, identity = bundle.space, Matrix.identity(bundle.space.payoff_cells)
     return (
-        is_range_projector(bundle.potential, build_B_P(space))
-        and is_range_projector(bundle.nonstrategic, build_B_N(space))
-        and is_range_projector(bundle.pure_potential, build_P_N(space))
+        _certified(bundle.potential, build_B_P(space))
+        and _certified(bundle.nonstrategic, build_B_N(space))
+        and _certified(bundle.pure_potential, build_P_N(space))
         and bundle.harmonic == identity - bundle.pure_potential
         and bundle.pure_harmonic == identity - bundle.potential
     )
@@ -289,8 +314,8 @@ def _three_clauses(bundle):
     """The oracle check as verify makes it: two certificates and the sum identity."""
     space = bundle.space
     return (
-        is_range_projector(bundle.potential, build_B_P(space))
-        and is_range_projector(bundle.nonstrategic, build_B_N(space))
+        _certified(bundle.potential, build_B_P(space))
+        and _certified(bundle.nonstrategic, build_B_N(space))
         and bundle.total() == Matrix.identity(space.payoff_cells)
     )
 
