@@ -1,8 +1,12 @@
 """Definition-level game checks and Nash-equilibrium analysis.
 
 The membership checks here work straight from the defining payoff
-equations, with no projection matrices, so they can confirm the
-projection route independently.  The Nash side covers exhaustive pure
+equations, with no projection matrices and no memo of the game's split,
+so they can confirm the projection route independently.  The (pure)
+harmonic checks sum int numerators over the lcm of all payoff
+denominators (decompose._int_rows): scaling a linear equation by a
+positive int changes no verdict.  The others need no common denominator
+and stay on Fractions.  The Nash side covers exhaustive pure
 equilibrium enumeration, the uniformly-mixed equilibrium test, the
 zero-payoff characterization of pure equilibria in pure harmonic
 games, and the dimension of the pure-harmonic games having a chosen
@@ -12,16 +16,18 @@ Every check runs along own-strategy lines from GameSpace.lines and line.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 
-from gamedecomp.decompose import PotentialFunction, differs_by_constant
+from gamedecomp.decompose import PotentialFunction, _int_rows, differs_by_constant
 from gamedecomp.games import Game, GameSpace
 from gamedecomp.projectors import SubspaceKind, subspace_dimension
 
 
-def _own_lines(game: Game):
-    """(payoff row, line) for every player and each of that player's own-strategy lines."""
-    for i, row in enumerate(game.payoff_rows, start=1):
+def _own_lines(game: Game, rows: Sequence[Sequence] | None = None):
+    """(row, line) for every player and each of that player's own-strategy lines,
+    over the game's payoff rows or over rows in their place."""
+    for i, row in enumerate(game.payoff_rows if rows is None else rows, start=1):
         for line in game.space.lines(i):
             yield row, line
 
@@ -33,20 +39,32 @@ def check_nonstrategic_defn(game: Game) -> bool:
 
 def check_pure_harmonic_defn(game: Game) -> bool:
     """Payoffs sum to zero across players at every profile, and each
-    player's payoffs sum to zero along that player's own strategy axis."""
-    if any(sum(column) != 0 for column in zip(*game.payoff_rows)):
+    player's payoffs sum to zero along that player's own strategy axis.
+
+    Both sums run on the int numerators over the lcm D of all payoff
+    denominators: a sum is zero iff D times it is."""
+    rows = _int_rows(game.payoff_rows)[1]
+    if any(map(sum, zip(*rows))):
         return False
-    return all(sum(row[line]) == 0 for row, line in _own_lines(game))
+    return not any(sum(row[line]) for row, line in _own_lines(game, rows))
 
 
 def check_harmonic_defn(game: Game) -> bool:
-    """At every profile the players' own-strategy averaging residuals cancel."""
-    residual = [-sum(column) for column in zip(*game.payoff_rows)]
-    for row, line in _own_lines(game):
+    """At every profile the players' own-strategy averaging residuals cancel:
+    sum_i U_i(s) equals sum_i of the mean of U_i over i's line through s.
+
+    The test runs on ints.  With D the lcm of all payoff denominators and
+    L = lcm(k_1..k_n), it is L sum_i D U_i(s) == sum_i (L // k_i) times the
+    sum of D U_i over i's line: the Fraction test times D L > 0, so it
+    holds exactly when that one does."""
+    rows = _int_rows(game.payoff_rows)[1]
+    scale = math.lcm(*game.space.strategy_counts)
+    residual = [-scale * sum(column) for column in zip(*rows)]
+    for row, line in _own_lines(game, rows):
         values = row[line]
-        mean = sum(values) / len(values)
+        mean = scale // len(values) * sum(values)
         residual[line] = [r + mean for r in residual[line]]
-    return all(r == 0 for r in residual)
+    return not any(residual)
 
 
 def check_potential_defn(game: Game, phi: PotentialFunction) -> bool:

@@ -87,6 +87,13 @@ def differs_by_constant(a: Sequence[Fraction], b: Sequence[Fraction]) -> bool:
     return all(x - y == delta for x, y in zip(a, b))
 
 
+def _int_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[int, list[list[int]]]:
+    """The lcm den of all the rows' denominators, and each row's numerators over den.
+    It reads no memo, so the oracles that call it stay independent of _split."""
+    den = math.lcm(*{x.denominator for row in rows for x in row})
+    return den, [[x.numerator * (den // x.denominator) for x in row] for row in rows]
+
+
 def _split(game: Game) -> tuple[Decomposition, tuple[Fraction, ...]]:
     """The game's decomposition, and the canonical potential phi of its potential component,
     computed once and kept on the game, under a name that ==, hash and repr do not read."""
@@ -163,14 +170,14 @@ def solve_potential_equation(game: Game) -> PotentialFunction | None:
     pass, j = n..1 over j's lines with players 1..j-1 at 1, builds it.
     xi_i on one of i's lines is the value u_i - phi takes on the whole
     line; if that is not constant, the game is not potential.  All runs
-    on int numerators over the payoffs' one lcm, and a Fraction is built
-    only for each value and offset returned.  Player n's last offset,
-    the one unknown that elimination in player order leaves free, is
-    zeroed, so phi generally differs from potential_function's by a constant.
+    on int numerators over the payoffs' one lcm (_int_rows), and one
+    Fraction is built per distinct value or offset returned.  Player n's
+    last offset, the one unknown that elimination in player order leaves
+    free, is zeroed, so phi generally differs from potential_function's
+    by a constant.
     """
     space = game.space
-    den = math.lcm(*{x.denominator for row in game.payoff_rows for x in row})
-    rows = [[x.numerator * (den // x.denominator) for x in row] for row in game.payoff_rows]
+    den, rows = _int_rows(game.payoff_rows)
     lines = [space.lines(j) for j in range(1, space.n + 1)]
     phi = [0] * space.k
     for j in range(space.n, 0, -1):
@@ -187,10 +194,10 @@ def solve_potential_equation(game: Game) -> PotentialFunction | None:
             return None
         offsets.append([gap[0] for gap in block])
     constant = offsets[-1][-1]
-    return PotentialFunction(
-        values=tuple([Fraction(p + constant, den) for p in phi]),
-        player_offsets=tuple(tuple([Fraction(x - constant, den) for x in b]) for b in offsets),
-    )
+    blocks = [[p + constant for p in phi]] + [[x - constant for x in b] for b in offsets]
+    rational = {x: Fraction(x, den) for x in set().union(*blocks)}
+    values, *offsets = [tuple(map(rational.__getitem__, block)) for block in blocks]
+    return PotentialFunction(values=values, player_offsets=tuple(offsets))
 
 
 def nonstrategic_component_direct(game: Game) -> Game:

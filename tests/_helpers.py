@@ -3,9 +3,11 @@ reference games, naive Fraction-based product, entrywise, stacking,
 elimination and back-substitution oracles kept independent of the
 package's integer kernels, and brute-force Nash and potential checks
 that enumerate deviations and read payoffs through profile_index,
-independent of GameSpace.lines, the dense Bareiss solve of the
-potential equation that its path-sum route is pinned to, and the dense
-rank that the closed-form harmonic Nash kernel dimension is pinned to."""
+independent of GameSpace.lines, the Fraction-sum forms of the (pure)
+harmonic definitional checks that their int line sums are pinned to,
+the dense Bareiss solve of the potential equation that its path-sum
+route is pinned to, and the dense rank that the closed-form harmonic
+Nash kernel dimension is pinned to."""
 
 from __future__ import annotations
 
@@ -54,6 +56,16 @@ def games(draw, max_cells=200):
         st.lists(cells, min_size=space.payoff_cells, max_size=space.payoff_cells)
     )
     return Game.from_vector(space, payoffs)
+
+
+def coprime_wide_game(counts: tuple[int, ...]) -> Game:
+    """A game whose payoff denominators are pairwise coprime and above 2**64:
+    1 + c m! 2**64 for c = 1..m, where two of them share only divisors of
+    their difference, below m, none of which divides either."""
+    space = GameSpace(counts)
+    m = space.payoff_cells
+    step = math.factorial(m) << 64
+    return Game.from_vector(space, [Fraction(c * c - 7, 1 + c * step) for c in range(1, m + 1)])
 
 
 def rps_game() -> Game:
@@ -262,6 +274,34 @@ def brute_potential_defn(game: Game, values) -> bool:
         for i in range(1, space.n + 1)
         for varied in _deviations(space, s, i)
     )
+
+
+# -- the (pure) harmonic definitional checks on Fraction sums ---------------
+
+
+def _own_lines(game: Game):
+    """(payoff row, line) for every player and each of that player's own-strategy lines."""
+    for i, row in enumerate(game.payoff_rows, start=1):
+        for line in game.space.lines(i):
+            yield row, line
+
+
+def fraction_pure_harmonic_defn(game: Game) -> bool:
+    """Payoffs sum to zero across players at every profile, and each
+    player's payoffs sum to zero along that player's own strategy axis."""
+    if any(sum(column) != 0 for column in zip(*game.payoff_rows)):
+        return False
+    return all(sum(row[line]) == 0 for row, line in _own_lines(game))
+
+
+def fraction_harmonic_defn(game: Game) -> bool:
+    """At every profile the players' own-strategy averaging residuals cancel."""
+    residual = [-sum(column) for column in zip(*game.payoff_rows)]
+    for row, line in _own_lines(game):
+        values = row[line]
+        mean = sum(values) / len(values)
+        residual[line] = [r + mean for r in residual[line]]
+    return all(r == 0 for r in residual)
 
 
 # -- the dense potential solve ----------------------------------------------

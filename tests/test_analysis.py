@@ -12,7 +12,10 @@ from _helpers import (
     brute_potential_defn,
     brute_pure_nash,
     brute_uniform_mixed_nash,
+    coprime_wide_game,
     dense_harmonic_nash_kernel_dim,
+    fraction_harmonic_defn,
+    fraction_pure_harmonic_defn,
     games,
     payoff,
     random_game,
@@ -116,6 +119,35 @@ def test_harmonic_defn_matches_membership():
         assert check_harmonic_defn(game) == is_member(game, SubspaceKind.HARMONIC)
     projected = projected_game(rng, space, SubspaceKind.HARMONIC)
     assert check_harmonic_defn(projected)
+
+
+def rational_game(seed: int, counts: tuple[int, ...]) -> Game:
+    rng = random.Random(seed)
+    space = GameSpace(counts)
+    cells = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(space.payoff_cells)]
+    return Game.from_vector(space, cells)
+
+
+@PROPERTY
+@given(games(max_cells=60))
+@example(rational_game(455, (2, 3, 4)))
+@example(rational_game(456, (4, 6)))
+@example(rational_game(457, (1, 3)))
+@example(rational_game(458, (2, 1, 2)))
+@example(coprime_wide_game((4, 6)))
+@example(coprime_wide_game((2, 1, 2)))
+def test_int_definitional_checks_equal_fraction_sums(game):
+    # the int line sums over one lcm give the Fraction sums' verdicts on a
+    # game, its pure harmonic part and a harmonic game; the examples take
+    # lcm(k_i) below prod k_i, one-strategy players, and pairwise coprime
+    # denominators above 2**64
+    parts = decompose(game)
+    harmonic = parts.pure_harmonic + parts.nonstrategic
+    for case in (game, parts.pure_harmonic, harmonic):
+        assert check_pure_harmonic_defn(case) == fraction_pure_harmonic_defn(case)
+        assert check_harmonic_defn(case) == fraction_harmonic_defn(case)
+    assert check_pure_harmonic_defn(parts.pure_harmonic)
+    assert check_harmonic_defn(harmonic)
 
 
 def test_potential_defn_verdicts():

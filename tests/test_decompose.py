@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import gamedecomp.projectors as projectors
 from _helpers import (
     PROPERTY,
+    coprime_wide_game,
     dense_potential_equation,
     games,
     random_game,
@@ -248,6 +249,18 @@ def test_solve_potential_equation_zero_game():
     assert set(result.values) == {0}
 
 
+def test_solve_builds_one_fraction_per_distinct_value():
+    # every player's payoff is phi, whose values take two levels, so the
+    # values repeat and every offset is zero: each distinct one is one object
+    rng = random.Random(31)
+    space = GameSpace((3, 3, 2))
+    phi = [rng.choice((Fraction(0), Fraction(1, 2))) for _ in range(space.k)]
+    result = solve_potential_equation(Game(space, [phi] * space.n))
+    entries = [*result.values, *(x for block in result.player_offsets for x in block)]
+    assert len(set(entries)) == 2
+    assert len({id(x) for x in entries}) == 2
+
+
 def test_single_player_game_is_its_own_potential():
     game = Game.from_vector(GameSpace((3,)), [4, -1, 2])
     assert is_member(game, SubspaceKind.POTENTIAL)
@@ -414,16 +427,6 @@ def test_potential_offsets_equal_lift_route(game):
         u_i = Matrix.column(potential.payoff_rows[i - 1])
         block = build_E(space, i).T @ (u_i - phi) * Fraction(1, count)
         assert result.player_offsets[i - 1] == block.column_tuple(0)
-
-
-def coprime_wide_game(counts: tuple[int, ...]) -> Game:
-    """A game whose payoff denominators are pairwise coprime and above 2**64:
-    1 + c m! 2**64 for c = 1..m, where two of them share only divisors of
-    their difference, below m, none of which divides either."""
-    space = GameSpace(counts)
-    m = space.payoff_cells
-    step = math.factorial(m) << 64
-    return Game.from_vector(space, [Fraction(c * c - 7, 1 + c * step) for c in range(1, m + 1)])
 
 
 @PROPERTY

@@ -18,7 +18,7 @@ from fractions import Fraction
 import pytest
 
 from _helpers import random_game
-from gamedecomp import cli, linalg, matrix, projectors
+from gamedecomp import analysis, cli, linalg, matrix, projectors
 from gamedecomp.cli import main
 from gamedecomp.games import Game, GameSpace, serialize_game
 from gamedecomp.projectors import PART_KINDS, SubspaceKind, build_projectors
@@ -170,7 +170,7 @@ KERNEL_MUTANTS = [
     ),
     pytest.param(
         decompose,
-        "solve_potential_equation",
+        "_int_rows",
         "x.numerator * (den // x.denominator)",
         "x.numerator",
         (2, 2),
@@ -198,8 +198,9 @@ def test_verify_catches_the_kernel_mutant(
     mutant = mutated(module, name, old, new)
     owner, _, attr = name.rpartition(".")
     monkeypatch.setattr(getattr(module, owner) if owner else module, attr, mutant)
-    if module is decompose:
-        # the CLI binds the path-sum solve by name
+    if module is decompose and hasattr(cli, name):
+        # the CLI binds the path-sum solve by name; the scaler is patched
+        # where the solve reads it, not where the definitional checks do
         monkeypatch.setattr(cli, name, mutant)
     rng = random.Random(7)
     space = GameSpace(counts)
@@ -208,6 +209,54 @@ def test_verify_catches_the_kernel_mutant(
     if potential:
         game = decompose.decompose(game).projection(SubspaceKind.POTENTIAL)
     assert verify_failures(tmp_path, capsys, game) == (1, failed)
+
+
+# the int line sums of the (pure) harmonic definitional checks, caught
+# above MAX_DENSE_CELLS, where verify refuses: on a seeded harmonic game
+# at the cell cap, classify's harmonic check disagrees with its
+# membership.  On [45,45] the mean's factor L // k_i is 1 for both
+# players, so that fault needs unequal strategy counts.
+CAP_MUTANTS = [
+    pytest.param(
+        decompose,
+        "_int_rows",
+        "x.numerator * (den // x.denominator)",
+        "x.numerator",
+        (45, 45),
+        id="scaler-no-rescale",
+    ),
+    pytest.param(
+        analysis,
+        "check_harmonic_defn",
+        "scale // len(values) * sum(values)",
+        "sum(values)",
+        (40, 50),
+        id="harmonic-mean-no-factor",
+    ),
+]
+
+
+@pytest.mark.parametrize("module, name, old, new, counts", CAP_MUTANTS)
+def test_classify_catches_the_definitional_mutant_at_the_cap(
+    tmp_path, capsys, monkeypatch, module, name, old, new, counts
+):
+    mutant = mutated(module, name, old, new)
+    for owner in (decompose, analysis):
+        if hasattr(owner, name):
+            monkeypatch.setattr(owner, name, mutant)
+    rng = random.Random(45)
+    space = GameSpace(counts)
+    cells = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(space.payoff_cells)]
+    parts = decompose.decompose(Game.from_vector(space, cells))
+    path = tmp_path / "game.json"
+    path.write_text(serialize_game(parts.pure_harmonic + parts.nonstrategic), encoding="utf-8")
+    assert space.payoff_cells > cli.MAX_DENSE_CELLS
+    assert main(["classify", str(path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["memberships"]["harmonic"] is True
+    assert doc["definitional_checks"]["harmonic"] is False
+    agreement = doc["checks_agree_with_memberships"]
+    assert {check for check, agrees in agreement.items() if not agrees} == {"harmonic"}
 
 
 # a wrong potential projection that is symmetric and keeps range(B_P)
