@@ -3,10 +3,10 @@
 The membership checks here work straight from the defining payoff
 equations, with no projection matrices and no memo of the game's split,
 so they can confirm the projection route independently.  The (pure)
-harmonic checks sum int numerators over the lcm of all payoff
-denominators (decompose._int_rows): scaling a linear equation by a
-positive int changes no verdict.  The others need no common denominator
-and stay on Fractions.  The Nash side covers exhaustive pure
+harmonic checks sum the game's int view (decompose._int_view), kept on
+it: scaling a linear equation by a positive int changes no verdict.  The
+rest stay on Fractions, off the lcm, which wide denominators can make
+millions of bits long.  The Nash side covers exhaustive pure
 equilibrium enumeration, the uniformly-mixed equilibrium test, the
 zero-payoff characterization of pure equilibria in pure harmonic
 games, and the dimension of the pure-harmonic games having a chosen
@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 
-from gamedecomp.decompose import PotentialFunction, _int_rows, differs_by_constant
+from gamedecomp.decompose import PotentialFunction, _int_view, differs_by_constant
 from gamedecomp.games import Game, GameSpace
 from gamedecomp.projectors import SubspaceKind, subspace_dimension
 
@@ -34,7 +34,7 @@ def _own_lines(game: Game, rows: Sequence[Sequence] | None = None):
 
 def check_nonstrategic_defn(game: Game) -> bool:
     """Whether every player's payoff ignores that player's own strategy."""
-    return all(len(set(row[line])) == 1 for row, line in _own_lines(game))
+    return all((v := row[line]).count(v[0]) == len(v) for row, line in _own_lines(game))
 
 
 def check_pure_harmonic_defn(game: Game) -> bool:
@@ -43,7 +43,7 @@ def check_pure_harmonic_defn(game: Game) -> bool:
 
     Both sums run on the int numerators over the lcm D of all payoff
     denominators: a sum is zero iff D times it is."""
-    rows = _int_rows(game.payoff_rows)[1]
+    rows = _int_view(game)[1]
     if any(map(sum, zip(*rows))):
         return False
     return not any(sum(row[line]) for row, line in _own_lines(game, rows))
@@ -57,7 +57,7 @@ def check_harmonic_defn(game: Game) -> bool:
     L = lcm(k_1..k_n), it is L sum_i D U_i(s) == sum_i (L // k_i) times the
     sum of D U_i over i's line: the Fraction test times D L > 0, so it
     holds exactly when that one does."""
-    rows = _int_rows(game.payoff_rows)[1]
+    rows = _int_view(game)[1]
     scale = math.lcm(*game.space.strategy_counts)
     residual = [-scale * sum(column) for column in zip(*rows)]
     for row, line in _own_lines(game, rows):

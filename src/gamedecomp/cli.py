@@ -43,13 +43,7 @@ from gamedecomp.games import (
     game_document,
     parse_game,
 )
-from gamedecomp.linalg import (
-    ResultTooLongError,
-    _check_bits,
-    _cut,
-    format_rational,
-    parse_rational,
-)
+from gamedecomp.linalg import ResultTooLongError, _check_bits, _cut, format_rational, parse_rational
 from gamedecomp.projectors import (
     PART_KINDS,
     SubspaceKind,
@@ -65,7 +59,7 @@ MAX_DECIMAL_DIGITS = 1000
 # project and verify build dense nk x nk matrices.  verify certifies the potential
 # and nonstrategic projections by witness products with B_P and B_N (P_N's follows
 # with the sum identity); one child takes 0.11 s of CPU at 81 cells, 0.2 s at 192,
-# 0.4 s at 324, 0.6 s at 384, 0.8 s (32 MB) at 512 ([16,16]) and 2.3-3.2 s (49 MB)
+# 0.4 s at 324, 0.6 s at 384, 0.8 s (32 MB) at 512 ([16,16]) and 1.9-2.2 s (44 MB)
 # at 512 one-strategy players (2-vCPU machine, Python 3.11); project takes 0.30 s
 # (48 MB) at 512 cells and its output runs to megabytes
 DENSE_COMMANDS = ("project", "verify")
@@ -124,7 +118,7 @@ def _load_game(args: argparse.Namespace) -> Game:
 # -- subcommands --------------------------------------------------------
 
 
-def _classification(game: Game) -> dict[str, dict[str, bool]]:
+def _cmd_classify(game: Game, args: argparse.Namespace | None = None) -> dict[str, dict]:
     """Memberships and the definitional tests, keyed by subspace kind value, and their agreement."""
     memberships = {kind.value: is_member(game, kind) for kind in SubspaceKind}
     checks = {
@@ -156,10 +150,6 @@ def _cmd_decompose(game: Game, args: argparse.Namespace) -> dict:
         },
         "components_sum_to_input": parts.total() == game,
     }
-
-
-def _cmd_classify(game: Game, args: argparse.Namespace) -> dict:
-    return _classification(game)
 
 
 def _cmd_potential(game: Game, args: argparse.Namespace) -> dict:
@@ -234,7 +224,7 @@ def _verification_checks(game: Game) -> list[tuple[str, bool]]:
     split = [part_matrices(space, kind) for kind in PART_KINDS]
     parts_g = decompose(game)
     part_vectors = {kind: parts_g.projection(kind).structure_vector() for kind in PART_KINDS}
-    agreement = _classification(game)["checks_agree_with_memberships"]
+    agreement = _cmd_classify(game)["checks_agree_with_memberships"]
     solved = solve_potential_equation(game)
     w_p, w_n = range_witnesses(space)
     return [

@@ -6,12 +6,13 @@ applied.  With u_i player i's payoff row: nonstrategic_i = M_i u_i,
 phi = X sum_i (u_i - M_i u_i), pure_potential_i = phi - M_i phi, and
 pure_harmonic = u - pure_potential - nonstrategic.  For every game, phi
 is the canonical potential of its potential component, pure_potential +
-nonstrategic (raw_potential_vector says why).
-X is applied by ANOVA grade (apply_group_inverse), one average per
-effective player and grade; the M_S basis serves only the oracles.
-_split runs once per Game and keeps the parts and phi on it while it lives
-(sound: a Game is immutable); every analysis reads them but the oracles
-solve_potential_equation and nonstrategic_component_direct.
+nonstrategic (raw_potential_vector says why).  X is applied by ANOVA
+grade (apply_group_inverse); the M_S basis serves only the oracles.
+What a Game fixes is computed once and kept on it (games._kept): the
+parts and phi (_split), potential_function's result and the int view
+(_int_view); a Decomposition keeps which parts are zero.  The oracles
+solve_potential_equation and nonstrategic_component_direct read only
+the payoffs and the int view.
 Potential functions are extracted two independent ways: phi with its
 offsets (the value u_i - phi takes on each of player i's own-strategy
 lines), and path sums of unilateral payoff changes on int numerators, one
@@ -25,7 +26,7 @@ import math
 from collections.abc import Sequence
 from fractions import Fraction
 
-from gamedecomp.games import Game, _Value
+from gamedecomp.games import Game, _kept, _Value
 from gamedecomp.projectors import (
     PART_KINDS,
     PARTS,
@@ -48,11 +49,10 @@ class Decomposition(_Parts):
 
     def is_member(self, kind: SubspaceKind) -> bool:
         """Whether the game lies in a canonical subspace: its parts outside it are zero."""
-        return not any(
-            any(map(any, getattr(self, part.name.lower()).payoff_rows))
-            for part in PART_KINDS
-            if part not in PARTS[kind]
-        )
+        zero = _kept(self, "_zero_parts", lambda: frozenset(
+            part for part in PART_KINDS if not any(map(any, self.projection(part).payoff_rows))
+        ))
+        return all(part in zero for part in PART_KINDS if part not in PARTS[kind])
 
 
 class PotentialFunction(_Value):
@@ -87,32 +87,38 @@ def differs_by_constant(a: Sequence[Fraction], b: Sequence[Fraction]) -> bool:
     return all(x - y == delta for x, y in zip(a, b))
 
 
-def _int_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[int, list[list[int]]]:
-    """The lcm den of all the rows' denominators, and each row's numerators over den.
-    It reads no memo, so the oracles that call it stay independent of _split."""
+def _int_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """The lcm den of all the rows' denominators, and each row's numerators over den:
+    the one scaler of payoffs, whose value _int_view keeps on a game."""
     den = math.lcm(*{x.denominator for row in rows for x in row})
-    return den, [[x.numerator * (den // x.denominator) for x in row] for row in rows]
+    return den, tuple(tuple([x.numerator * (den // x.denominator) for x in row]) for row in rows)
+
+
+def _int_view(game: Game) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """_int_rows of the game's payoffs, kept on the game: the oracles read it, not the split."""
+    return _kept(game, "_int_view", lambda: _int_rows(game.payoff_rows))
 
 
 def _split(game: Game) -> tuple[Decomposition, tuple[Fraction, ...]]:
     """The game's decomposition, and the canonical potential phi of its potential component,
-    computed once and kept on the game, under a name that ==, hash and repr do not read."""
-    if "_split" in vars(game):
-        return game._split
-    space, rows = game.space, game.payoff_rows
-    nonstrategic = [average(space, row, i) for i, row in enumerate(rows, start=1)]
-    phi = apply_group_inverse(
-        space, [sum(u) - sum(m) for u, m in zip(zip(*rows), zip(*nonstrategic))]
-    )
-    pure_potential = [
-        [p - m for p, m in zip(phi, average(space, phi, i))] for i in range(1, space.n + 1)
-    ]
-    pure_harmonic = [
-        [u - p - s for u, p, s in zip(*parts)] for parts in zip(rows, pure_potential, nonstrategic)
-    ]
-    parts = [Game(space, part) for part in (pure_potential, nonstrategic, pure_harmonic)]
-    object.__setattr__(game, "_split", (Decomposition(*parts), tuple(phi)))
-    return game._split
+    computed once and kept on the game."""
+
+    def split() -> tuple[Decomposition, tuple[Fraction, ...]]:
+        space, rows = game.space, game.payoff_rows
+        nonstrategic = [average(space, row, i) for i, row in enumerate(rows, start=1)]
+        phi = apply_group_inverse(
+            space, [sum(u) - sum(m) for u, m in zip(zip(*rows), zip(*nonstrategic))]
+        )
+        pure_potential = [
+            [p - m for p, m in zip(phi, average(space, phi, i))] for i in range(1, space.n + 1)
+        ]
+        pure_harmonic = [
+            [u - p - s for u, p, s in zip(*t)] for t in zip(rows, pure_potential, nonstrategic)
+        ]
+        parts = [Game(space, p) for p in (pure_potential, nonstrategic, pure_harmonic)]
+        return Decomposition(*parts), tuple(phi)
+
+    return _kept(game, "_split", split)
 
 
 def decompose(game: Game) -> Decomposition:
@@ -147,16 +153,15 @@ def potential_function(game: Game) -> PotentialFunction | None:
     player i's offsets are the values u_i - phi takes on i's own-strategy
     lines, one per profile of the other players.  In a potential game
     u_i - phi = M_i u_i - M_i phi = M_i (u_i - phi) is constant on each
-    such line, so its first entry is the offset.
+    such line, so its first entry is the offset.  It is kept beside the split.
     """
     parts, phi = _split(game)
     if not parts.is_member(SubspaceKind.POTENTIAL):
         return None
-    offsets = tuple(
+    return _kept(game, "_potential", lambda: PotentialFunction(phi, tuple(
         tuple([row[line.start] - phi[line.start] for line in game.space.lines(i)])
         for i, row in enumerate(game.payoff_rows, start=1)
-    )
-    return PotentialFunction(values=phi, player_offsets=offsets)
+    )))
 
 
 def solve_potential_equation(game: Game) -> PotentialFunction | None:
@@ -170,26 +175,25 @@ def solve_potential_equation(game: Game) -> PotentialFunction | None:
     pass, j = n..1 over j's lines with players 1..j-1 at 1, builds it.
     xi_i on one of i's lines is the value u_i - phi takes on the whole
     line; if that is not constant, the game is not potential.  All runs
-    on int numerators over the payoffs' one lcm (_int_rows), and one
-    Fraction is built per distinct value or offset returned.  Player n's
+    on the game's int view, its numerators over the payoffs' one lcm, and
+    one Fraction is built per distinct value or offset returned.  Player n's
     last offset, the one unknown that elimination in player order leaves
     free, is zeroed, so phi generally differs from potential_function's
     by a constant.
     """
     space = game.space
-    den, rows = _int_rows(game.payoff_rows)
-    lines = [space.lines(j) for j in range(1, space.n + 1)]
+    den, rows = _int_view(game)
     phi = [0] * space.k
     for j in range(space.n, 0, -1):
         row, span = rows[j - 1], space.k_between(j, space.n)
-        for line in lines[j - 1]:
+        for line in space.lines(j):
             if line.stop <= span:
                 base = phi[line.start] - row[line.start]
                 phi[line] = [base + u for u in row[line]]
     offsets = []
-    for row, own in zip(rows, lines):
+    for j, row in enumerate(rows, start=1):
         gaps = [u - p for u, p in zip(row, phi)]
-        block = [gaps[line] for line in own]
+        block = [gaps[line] for line in space.lines(j)]
         if any(gap.count(gap[0]) != len(gap) for gap in block):
             return None
         offsets.append([gap[0] for gap in block])

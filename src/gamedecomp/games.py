@@ -22,17 +22,11 @@ from __future__ import annotations
 import json
 import math
 import operator
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from fractions import Fraction
 from itertools import accumulate, product
 
-from gamedecomp.linalg import (
-    ResultTooLongError,
-    _check_bits,
-    _cut,
-    format_rational,
-    parse_rational,
-)
+from gamedecomp.linalg import ResultTooLongError, _check_bits, _cut, format_rational, parse_rational
 
 CELL_CAP = 4096
 _ZERO = Fraction(0)
@@ -78,6 +72,16 @@ def as_rational(value: object) -> Fraction:
         except ValueError as exc:
             raise GameFormatError(str(exc)) from None
     raise GameFormatError(f"unsupported payoff type {type(value).__name__}")
+
+
+def _kept(owner: object, name: str, compute: Callable[[], object]) -> object:
+    """owner's value under name: compute() on first use, then kept in vars(owner) for every
+    later caller, so it should be immutable, as owner is.  name is in no _fields or
+    _compared, so ==, hash and repr do not read it."""
+    kept = vars(owner)
+    if name not in kept:
+        object.__setattr__(owner, name, compute())
+    return kept[name]
 
 
 class _Value:
@@ -204,20 +208,20 @@ class GameSpace(_Value):
         s = self.check_profile(profile)
         return 1 + sum((choice - 1) * stride for choice, stride in zip(s, self._strides))
 
-    def lines(self, player: int) -> list[slice]:
+    def lines(self, player: int) -> tuple[slice, ...]:
         """Player's own-strategy lines, as slices over 0-based profile indices.
 
         A line holds the k_i profiles that differ only in player's choice,
         in strategy order; the lines partition range(k) and come in index
         order of their first profile, which is the order of the other
-        players' subprofiles.
+        players' subprofiles.  Each player's tuple is built once and kept.
         """
         stride, block = self._axis(player)
-        return [
+        return _kept(self, f"_lines{player}", lambda: tuple(
             slice(start + offset, start + block, stride)
             for start in range(0, self.k, block)
             for offset in range(stride)
-        ]
+        ))
 
     def line(self, player: int, index: int) -> slice:
         """The own-strategy line of player through the profile at 0-based index."""
@@ -287,10 +291,7 @@ class Game(_Value):
                 f"expected {space.payoff_cells} entries, got {len(entries)}"
             )
         k = space.k
-        return cls(
-            space,
-            tuple(tuple(entries[i * k : (i + 1) * k]) for i in range(space.n)),
-        )
+        return cls(space, tuple(tuple(entries[i * k : (i + 1) * k]) for i in range(space.n)))
 
     def structure_vector(self) -> Matrix:
         """The stacked payoff column: rows concatenated player by player."""

@@ -12,24 +12,19 @@ X of sum_i (I - M_i) is 1/|T|, and 0 on the constants.  Players with
 one strategy have M_i = I and play no part.
 
 average() applies one M_i to a payoff row by along-axis means over
-GameSpace.lines, with no matrix; axis_means() sums a line's numerators
-over the lcm of its denominators, so each mean reduces once.
-apply_group_inverse() applies X by splitting the row by grade |T| with
-one M_i per player and grade; decompose.py uses only these.  The dense
-projections of the three parts are written from the same ANOVA tables,
-listed by the bit mask of T and held as ints over lcm(1..n_eff):
-_densify_blocks() turns them into entries with int 2x2 steps and writes
-each row with one gather.  The dense ProjectorSet holds only those three
-and, like Decomposition, sums them through PARTS into potential and
-harmonic (_Parts).  It serves `project`, `verify` and the oracles.
-part_matrices() gives a projection per V_T, n x n, for `verify`'s
-idempotency and product checks.  The bundle writer builds the first
-Matrix of a call, so gamedecomp.matrix is imported there, on first use.
-The Kronecker-built E_i, e_i, B_N, B_P and P_N and the M_S basis routes
-to X live in gamedecomp.dense; the module __getattr__ at the end serves
-the objects it and matrix define, Matrix among them, through linalg's
-hook.  Nothing here is cached; the one memo is a game's split, kept on
-the Game by decompose._split.
+GameSpace.lines, and apply_group_inverse() applies X grade by grade;
+decompose.py uses only these and builds no matrix.  The dense
+projections of the three parts (ProjectorSet, for `project`, `verify`
+and the oracles) and their parts on each V_T (part_matrices, for
+`verify`'s idempotency and product checks) are written from the same
+ANOVA tables, listed by the bit mask of T and held as ints over
+lcm(1..n_eff), with int 2x2 steps and one gather per row.  Their block
+layout does not depend on the kind, so it is kept on the GameSpace, as
+its lines are; no table or matrix is kept.  gamedecomp.matrix is
+imported on first use.  The Kronecker-built E_i, e_i, B_N, B_P and P_N
+and the M_S basis routes to X live in gamedecomp.dense; the module
+__getattr__ at the end serves the objects it and matrix define, Matrix
+among them, through linalg's hook.
 """
 
 from __future__ import annotations
@@ -38,11 +33,11 @@ import math
 from collections.abc import Callable, Hashable, Sequence
 from enum import Enum
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat
 from operator import itemgetter
 
 from gamedecomp import linalg
-from gamedecomp.games import GameSpace, _Value
+from gamedecomp.games import GameSpace, _kept, _Value
 
 
 class SubspaceKind(Enum):
@@ -245,9 +240,22 @@ def subspace_dimension(space: GameSpace, kind: SubspaceKind) -> int:
     return sum(d for part, d in zip(PART_KINDS, dims) if part in PARTS[kind])
 
 
+def _layout(space: GameSpace) -> tuple[tuple[tuple[Hashable, ...], ...], tuple[Hashable, ...]]:
+    """The key (bit_i, bit_j, i == j) of each block (i, j), one tuple per distinct key,
+    and the distinct keys: the part of _block_tables that does not depend on the kind."""
+    bits = list(map(_player_bits(space).get, range(1, space.n + 1), repeat(0)))
+    off = {x: {y: (x, y, False) for y in set(bits)} for x in set(bits)}
+    same = {x: (x, x, True) for x in set(bits)}
+    layout = tuple(
+        tuple([off[x][y] if i != j else same[x] for j, y in enumerate(bits)])
+        for i, x in enumerate(bits)
+    )
+    return layout, tuple(dict.fromkeys(chain.from_iterable(layout)))
+
+
 def _block_tables(
     space: GameSpace, kind: SubspaceKind
-) -> tuple[dict[Hashable, list[int]], int, list[list[Hashable]]]:
+) -> tuple[dict[Hashable, list[int]], int, tuple[tuple[Hashable, ...], ...]]:
     """The ANOVA tables of kind's projection, as ints over one denominator.
 
     Returns (tables, den, layout): block (i, j) is tables[layout[i][j]]
@@ -262,8 +270,7 @@ def _block_tables(
     bit = _player_bits(space)
     den = math.lcm(*range(1, len(bit) + 1))
     parts = range(1 << len(bit))
-    players = range(1, space.n + 1)
-    layout = [[(bit.get(i, 0), bit.get(j, 0), i == j) for j in players] for i in players]
+    layout, keys = _kept(space, "_layout", lambda: _layout(space))
 
     def table(bit_i: int, bit_j: int, same: bool) -> list[int]:
         return [
@@ -272,7 +279,7 @@ def _block_tables(
             for t in parts
         ]
 
-    return {key: table(*key) for key in dict.fromkeys(chain.from_iterable(layout))}, den, layout
+    return {key: table(*key) for key in keys}, den, layout
 
 
 def part_matrices(space: GameSpace, kind: SubspaceKind) -> list[Matrix]:

@@ -23,7 +23,13 @@ from _helpers import (
     symmetric_222,
     symmetric_33,
 )
-from gamedecomp.analysis import check_potential_defn
+from gamedecomp.analysis import (
+    check_harmonic_defn,
+    check_nonstrategic_defn,
+    check_potential_defn,
+    check_pure_harmonic_defn,
+    pure_nash,
+)
 from gamedecomp.decompose import (
     decompose,
     differs_by_constant,
@@ -560,6 +566,10 @@ ANALYSES = {
     "raw_potential_vector": raw_potential_vector,
     "solve_potential_equation": solve_potential_equation,
     "nonstrategic_component_direct": nonstrategic_component_direct,
+    "check_nonstrategic_defn": check_nonstrategic_defn,
+    "check_pure_harmonic_defn": check_pure_harmonic_defn,
+    "check_harmonic_defn": check_harmonic_defn,
+    "pure_nash": pure_nash,
 }
 
 
@@ -621,6 +631,45 @@ def test_each_command_splits_its_game_at_most_once(tmp_path, capsys, splits, arg
     assert len(splits) == count
 
 
+@pytest.fixture
+def scalings(monkeypatch):
+    """The payoff rows scaled to ints while the test runs, one entry per
+    scaling: _int_rows is the one scaler, and _int_view its one caller."""
+    calls = []
+    real = DECOMPOSE._int_rows
+
+    def counted(rows):
+        calls.append(rows)
+        return real(rows)
+
+    monkeypatch.setattr(DECOMPOSE, "_int_rows", counted)
+    return calls
+
+
+def test_repeated_analyses_scale_once_and_keep_the_potential(scalings):
+    game = potential_game(random.Random(26), GameSpace((2, 3)))
+    kept = potential_function(game)
+    for _ in range(2):
+        for analysis in ANALYSES.values():
+            analysis(game)
+    assert kept is not None and potential_function(game) is kept
+    assert scalings == [game.payoff_rows]
+
+
+@pytest.mark.parametrize("command, count", [("classify", 1), ("verify", 1), ("nash", 0)])
+def test_each_command_scales_its_payoffs_at_most_once(tmp_path, capsys, scalings, command, count):
+    # classify's two int checks and verify's solve share one int view;
+    # nash stays on Fractions, off the lcm of the denominators
+    from gamedecomp.cli import main
+    from gamedecomp.games import serialize_game
+
+    path = tmp_path / "game.json"
+    path.write_text(serialize_game(random_game(random.Random(26), GameSpace((2, 3)))))
+    assert main([command, str(path)]) == 0
+    capsys.readouterr()
+    assert len(scalings) == count
+
+
 @PROPERTY
 @given(games(max_cells=60), st.permutations(list(ANALYSES)))
 def test_analyses_agree_in_any_order_with_a_fresh_game(game, order):
@@ -641,7 +690,12 @@ def test_the_oracles_do_not_read_the_kept_split():
     fresh = Game(space, game.payoff_rows)
     object.__setattr__(game, "_split", DECOMPOSE._split(other))
     assert decompose(game) == decompose(other)
+    # the values kept from the split, the potential and the zero parts, are
+    # filled from the other game's split before any oracle runs
     assert potential_function(game) is not None
+    assert all(is_member(game, kind) == is_member(other, kind) for kind in SubspaceKind)
+    assert {"_potential", "_split"} <= set(vars(game))
+    assert "_zero_parts" in vars(decompose(game))
     for oracle in (
         solve_potential_equation,
         nonstrategic_component_direct,

@@ -216,6 +216,7 @@ def test_lines_hold_the_own_strategy_variants(space):
     listed = list(space.profiles())
     for i, count in enumerate(space.strategy_counts, start=1):
         lines = space.lines(i)
+        assert space.lines(i) is lines and isinstance(lines, tuple)
         members = [list(profiles[line]) for line in lines]
         assert sorted(p for line in members for p in line) == list(profiles)
         assert [line[0] for line in members] == sorted(line[0] for line in members)

@@ -4,9 +4,9 @@ a wrong one, and asserts that the package's cross-checks catch it.  A
 further fault, the pure harmonic block swap, is pinned in test_cli.py
 (test_verify_pins_the_harmonic_projections).
 
-Every case builds its game after the patch.  A game keeps its split on
-itself the first time it is decomposed, so a game split before the patch
-would serve that split and never run the mutant."""
+Every case builds its game after the patch.  A game keeps its split and
+its int view on itself the first time they are computed, so a game split
+or scaled before the patch would serve them and never run the mutant."""
 
 import importlib
 import inspect
@@ -122,7 +122,9 @@ def test_verify_catches_the_dense_mutant(
 # every M_i, whose faults show only where a line mixes denominators, and
 # the path sums, whose faults show only on a potential game (True below:
 # verify then runs on the game's potential projection), where the offset
-# check runs to the end
+# check runs to the end.  The unscaled int view reaches the (pure)
+# harmonic checks too, but their verdicts on that game stay False, as its
+# memberships are, so only the potential routes disagree
 KERNEL_MUTANTS = [
     pytest.param(
         matrix,
@@ -199,8 +201,8 @@ def test_verify_catches_the_kernel_mutant(
     owner, _, attr = name.rpartition(".")
     monkeypatch.setattr(getattr(module, owner) if owner else module, attr, mutant)
     if module is decompose and hasattr(cli, name):
-        # the CLI binds the path-sum solve by name; the scaler is patched
-        # where the solve reads it, not where the definitional checks do
+        # the CLI binds the path-sum solve by name; the scaler is read by
+        # name only in decompose._int_view, the one way to the int view
         monkeypatch.setattr(cli, name, mutant)
     rng = random.Random(7)
     space = GameSpace(counts)
@@ -240,10 +242,7 @@ CAP_MUTANTS = [
 def test_classify_catches_the_definitional_mutant_at_the_cap(
     tmp_path, capsys, monkeypatch, module, name, old, new, counts
 ):
-    mutant = mutated(module, name, old, new)
-    for owner in (decompose, analysis):
-        if hasattr(owner, name):
-            monkeypatch.setattr(owner, name, mutant)
+    monkeypatch.setattr(module, name, mutated(module, name, old, new))
     rng = random.Random(45)
     space = GameSpace(counts)
     cells = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(space.payoff_cells)]
